@@ -26,7 +26,7 @@ would let one-sided exponentials leak energy through the boundary and
 produce spurious zero modes when Bl < 0).  The numerator matrix T^t T is
 pentadiagonal and positive semidefinite by construction; the generalized
 symmetric problem is solved by shift-invert Lanczos iteration with the
-denominator matrix as the metric, with a dense solver below N = 2000.
+denominator matrix as the metric.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import eigh
 
 from .cylinder import CylinderFunction, cylinder_quotient
 from .errors import SolverError
@@ -55,9 +54,6 @@ __all__ = [
     "phi",
     "decompose_and_bound",
 ]
-
-#: dense generalized eigensolver below this size, shift-invert above
-DENSE_LIMIT = 2000
 
 #: relative eigenpair residual accepted from the solver
 RESIDUAL_TOL = 1e-10
@@ -141,18 +137,14 @@ def _assemble(A, Bl, Cl, L, N):
 def _solve_smallest(A, Bl, Cl, L, N):
     """Smallest generalized eigenpair of (T^t T) v = mu D v."""
     P, D, dx = _assemble(A, Bl, Cl, L, N)
-    if N <= DENSE_LIMIT:
-        vals, vecs = eigh(P.toarray(), D.toarray(), subset_by_index=[0, 0])
-        mu, vec = float(vals[0]), vecs[:, 0]
-    else:
-        s = np.linspace(-L + dx, L - dx, N)
-        v0 = np.exp(-((s / (L / 4.0)) ** 2))  # deterministic start vector
-        try:
-            vals, vecs = spla.eigsh(P, k=1, M=D, sigma=0.0, which="LM", v0=v0)
-        except RuntimeError:
-            # singular numerator factorization: nudge the shift below zero
-            vals, vecs = spla.eigsh(P, k=1, M=D, sigma=-1e-10, which="LM", v0=v0)
-        mu, vec = float(vals[0]), vecs[:, 0]
+    s = np.linspace(-L + dx, L - dx, N)
+    v0 = np.exp(-((s / (L / 4.0)) ** 2))  # deterministic start vector
+    try:
+        vals, vecs = spla.eigsh(P, k=1, M=D, sigma=0.0, which="LM", v0=v0)
+    except RuntimeError:
+        # singular numerator factorization: nudge the shift below zero
+        vals, vecs = spla.eigsh(P, k=1, M=D, sigma=-1e-10, which="LM", v0=v0)
+    mu, vec = float(vals[0]), vecs[:, 0]
     res_vec = P @ vec - mu * (D @ vec)
     # backward-error normalization: residual relative to the operator scale
     op_scale = float(np.abs(P).sum(axis=1).max() + abs(mu) * np.abs(D).sum(axis=1).max())
@@ -165,7 +157,6 @@ def _solve_smallest(A, Bl, Cl, L, N):
         )
     if mu < -1e-10:
         raise SolverError(f"negative minimum {mu:.3e} from a PSD numerator; solver breakdown")
-    s = np.linspace(-L + 2.0 * L / (N + 1), L - 2.0 * L / (N + 1), N)
     return max(mu, 0.0), vec, s, residual
 
 

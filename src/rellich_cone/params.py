@@ -45,6 +45,7 @@ __all__ = [
     "derive",
     "radial_constant",
     "mode_value",
+    "mode_threshold",
     "best_mode_constant",
     "critical_constant",
     "breaking_threshold_bound",
@@ -143,7 +144,7 @@ def mode_value(p: Params, lam):
     return gl * gl / hl
 
 
-def _mode_threshold(p: Params):
+def mode_threshold(p: Params):
     """Eigenvalue beyond which the mode function is nondecreasing.
 
     f'(t) has the sign of (gamma + t)(t + 2h - gamma), so f is
@@ -159,7 +160,7 @@ def _best_mode(p: Params, spectrum: Spectrum):
             f"alpha = 4 - n = {p.alpha}: the mode minimum is undefined at the "
             "critical exponent; use critical_constant instead"
         )
-    candidates = spectrum.eigenvalues_past(_mode_threshold(p), guard=1)
+    candidates = spectrum.eigenvalues_past(mode_threshold(p), guard=1)
     best = best_lam = None
     for lam in candidates:
         v = mode_value(p, lam)

@@ -10,12 +10,11 @@ emitted in alpha order, and identical inputs produce byte-identical text.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .config import Config
 from .modes import _solve_smallest
-from .params import ConstantReport, _best_mode, _mode_threshold, classify, derive
+from .params import ConstantReport, classify, derive, mode_threshold
 from .spectra import Spectrum
 
 __all__ = [
@@ -67,19 +66,20 @@ def scan_alphas(alpha_from: float, alpha_to: float, step: float) -> list[float]:
     return alphas
 
 
-def _numeric_probe(p, spectrum: Spectrum, cfg: Config) -> float:
+def _numeric_probe(p, spectrum: Spectrum, report: ConstantReport, cfg: Config) -> float:
     """min over low modes of the discrete per-mode minimum.
 
     Probes the eigenvalues enumerated by the mode-minimum truncation,
     capped at k_max + 1 entries but always including the argmin of the mode
-    function.  At the critical exponent the radial mode is solved with a
-    pure-stiffness denominator (the L^2 weight vanishes there).
+    function (``report.attained_lambda``).  At the critical exponent the
+    radial mode is solved with a pure-stiffness denominator (the L^2 weight
+    vanishes there).
     """
     if p.h == 0:
         lams = spectrum.eigenvalues_past(0, guard=cfg.k_max)[: cfg.k_max + 1]
     else:
-        lams = spectrum.eigenvalues_past(_mode_threshold(p), guard=1)[: cfg.k_max + 1]
-        lam_star = _best_mode(p, spectrum)[1]
+        lams = spectrum.eigenvalues_past(mode_threshold(p), guard=1)[: cfg.k_max + 1]
+        lam_star = report.attained_lambda
         if lam_star not in lams:
             lams.append(lam_star)
     best = None
@@ -99,39 +99,32 @@ def compute_scan_rows(
     spectrum: Spectrum,
     with_numeric: bool = False,
     cfg: Config | None = None,
-    workers: int | None = None,
 ):
-    """Yield ScanRows in alpha order (rows are computed concurrently).
+    """Yield ScanRows in alpha order, one row at a time.
 
-    The spectrum is pre-extended past every threshold the sweep needs, so
-    the concurrent row evaluations only read shared state.
+    The spectrum is grown past every threshold the sweep needs before the
+    first row.  A cap spectrum re-solved at a larger count shifts its lower
+    eigenvalues slightly, so growing it once keeps every row on the same
+    eigenvalue list.
     """
     cfg = cfg or Config()
     alphas = sorted(float(a) for a in alphas)
     params = [derive(n, a) for a in alphas]
-    thresholds = [_mode_threshold(p) for p in params if p.h != 0]
+    thresholds = [mode_threshold(p) for p in params if p.h != 0]
     if thresholds:
         spectrum.eigenvalues_past(max(thresholds), guard=cfg.k_max + 1)
     spectrum.eigenvalues_past(0, guard=cfg.k_max + 1)
 
-    def row(p) -> ScanRow:
+    for p in params:
         report = classify(p, spectrum)
-        nd = _numeric_probe(p, spectrum, cfg) if with_numeric else None
-        return ScanRow(
+        yield ScanRow(
             alpha=float(p.alpha),
             delta_rad=report.delta_rad,
             M=report.M,
-            numeric_delta=nd,
+            numeric_delta=_numeric_probe(p, spectrum, report, cfg) if with_numeric else None,
             regime=str(report.regime),
             certified=report.certified,
         )
-
-    if with_numeric and (workers is None or workers > 1):
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(row, params)
-    else:
-        for p in params:
-            yield row(p)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from rellich_cone import DegenerateModeError
+from rellich_cone import DegenerateModeError, SolverError, derive
 from rellich_cone.cli import main
 from rellich_cone.config import Config, load_config, resolve_config
 
@@ -135,6 +135,29 @@ class TestScan:
         assert all(r[3] != "" for r in rows.values())
         critical_nd = float(rows["1"][3])
         assert critical_nd == pytest.approx(1.0, abs=5e-2)
+
+    def test_csv_streams_rows_before_failure(self, capsys, monkeypatch):
+        # a solver failure on the third row leaves the header and the two
+        # finished rows on stdout, and the error on stderr
+        import rellich_cone.report as report_mod
+
+        solve = report_mod._solve_smallest
+        third_row_A = float(derive(3, 0.5).A)
+
+        def failing(A, *args):
+            if A == third_row_A:
+                raise SolverError("injected breakdown")
+            return solve(A, *args)
+
+        monkeypatch.setattr(report_mod, "_solve_smallest", failing)
+        code, out, err = run_cli(capsys, "scan", "--n", "3", "--alpha-from", "0",
+                                 "--alpha-to", "1", "--step", "0.25", "--format", "csv",
+                                 "--with-numeric", "--mode-l", "20", "--mode-n", "200")
+        lines = out.splitlines()
+        assert lines[0] == "alpha,delta_rad,M,numeric_delta,regime,certified"
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "0.25"]
+        assert code != 0
+        assert "injected breakdown" in err
 
     def test_table_format(self, capsys):
         code, out, _ = run_cli(capsys, "scan", "--n", "3", "--alpha-from", "0",

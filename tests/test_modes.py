@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh
 
 from rellich_cone import (
     CylinderFunction,
@@ -22,6 +23,7 @@ from rellich_cone import (
     scaled_family_value,
     window_bound_check,
 )
+from rellich_cone.modes import _assemble, _solve_smallest
 
 # unit-test resolution: coarser than the verification default but sharp
 # enough for every bound below (truncation only raises the minimum)
@@ -120,6 +122,23 @@ class TestMinimizeMode:
                 for lam in spec.eigenvalues[:4]
             )
             assert discrete == pytest.approx(target, abs=1e-3)
+
+
+@pytest.mark.parametrize("A,Bl,Cl,N", [
+    (-2.0, 1.25, 2.25, 3),
+    (-2.0, 1.25, 2.25, 50),
+    (-2.0, -0.75, 0.25, 1000),
+    # critical radial mode of (3, 1): Cl = 0.  With the pure-stiffness metric
+    # the eigenvalue itself is conditioned to about 1e-10 at N = 1000 in
+    # either solver, so the critical case sits at N = 50.
+    (-1.0, 0.0, 0.0, 50),
+])
+def test_sparse_matches_dense_reference(A, Bl, Cl, N):
+    L = 60.0
+    P, D, _ = _assemble(A, Bl, Cl, L, N)
+    reference = eigh(P.toarray(), D.toarray(), eigvals_only=True, subset_by_index=[0, 0])[0]
+    value = _solve_smallest(A, Bl, Cl, L, N)[0]
+    assert value == pytest.approx(reference, rel=1e-10)
 
 
 class TestScaledFamily:

@@ -24,7 +24,7 @@ from rellich_cone import (
     mode_value,
     radial_constant,
 )
-from rellich_cone.params import _best_mode, _mode_threshold
+from rellich_cone.params import _best_mode, mode_threshold
 
 
 class TestDerive:
@@ -109,7 +109,7 @@ class TestModeValue:
     def test_monotone_past_threshold(self):
         for (n, alpha) in [(3, 0.0), (5, -0.5), (2, 1.5), (7, 3.0)]:
             p = derive(n, alpha)
-            start = float(_mode_threshold(p))
+            start = float(mode_threshold(p))
             ts = np.linspace(start, start + 50, 200)
             vals = [mode_value(p, t) for t in ts]
             assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
@@ -138,7 +138,7 @@ class TestBestModeConstant:
     def test_minimum_below_every_enumerated_mode(self, sphere3):
         p = derive(3, Fraction(0))
         m = best_mode_constant(p, sphere3)
-        for lam in sphere3.eigenvalues_past(_mode_threshold(p), guard=3):
+        for lam in sphere3.eigenvalues_past(mode_threshold(p), guard=3):
             assert m <= mode_value(p, lam)
         assert m <= radial_constant(p)  # 0 is in the sphere spectrum
 

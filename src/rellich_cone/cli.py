@@ -13,7 +13,8 @@ Subcommands:
 Domains are given as ``sphere``, ``cap:THETA0``, ``arc:LENGTH``, or
 ``file:PATH`` (explicit eigenvalues, one per line).  Exit codes: 0 success,
 1 verification failure, 2 invalid arguments, 3 degenerate-case routing
-failure.
+failure, 4 numerical-resolution failure (a discretization that did not
+converge or an eigensolver breakdown).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import sys
 from .config import ENV_CONFIG, resolve_config
 from .corpus import load_corpus
 from .cylinder import xspace_equivalence_check
-from .errors import DegenerateModeError, RellichConeError
+from .errors import ConvergenceError, DegenerateModeError, RellichConeError, SolverError
 from .params import classify, derive
 from .report import (
     SCAN_FIELDS,
@@ -46,6 +47,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_DEGENERATE = 3
+EXIT_RESOLUTION = 4
 
 
 def _parse_domain(text: str):
@@ -71,10 +73,7 @@ def _parse_domain(text: str):
 def _spectrum_from_args(args, cfg, count=None):
     domain, spectrum = _parse_domain(args.domain)
     if spectrum is None:
-        spectrum = spectrum_for(
-            domain, args.n, count=count or cfg.spectrum_count,
-            cap_grid=cfg.cap_grid, m_max=cfg.m_max,
-        )
+        spectrum = spectrum_for(domain, args.n, count=count or cfg.spectrum_count)
     return spectrum
 
 
@@ -219,6 +218,9 @@ def main(argv=None) -> int:
     except DegenerateModeError as exc:
         print(f"error: degenerate case routing failure: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
+    except (ConvergenceError, SolverError) as exc:
+        print(f"error: numerical resolution failure: {exc}", file=sys.stderr)
+        return EXIT_RESOLUTION
     except (RellichConeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -30,8 +30,6 @@ class Config:
     per-mode eigensolver at full resolution (verification suites).
     scan_L / scan_N: the same for the per-row sweeps of the scan command.
     k_max: highest spherical-harmonic degree probed by numeric sweeps.
-    m_max: azimuthal cutoff of the cap eigenvalue solver.
-    cap_grid: base grid of the cap solver (one refinement is always added).
     spectrum_count: eigenvalues requested from spectra by default.
     step: cylinder quadrature step (minimum cell count still applies).
     bound_tol: tolerance for comparisons against closed-form bounds.
@@ -43,8 +41,6 @@ class Config:
     scan_L: float = 100.0
     scan_N: int = 4000
     k_max: int = 6
-    m_max: int = 8
-    cap_grid: int = 2048
     spectrum_count: int = 16
     step: float = 0.025
     bound_tol: float = 1e-3

@@ -103,9 +103,10 @@ def compute_scan_rows(
     """Yield ScanRows in alpha order, one row at a time.
 
     The spectrum is grown past every threshold the sweep needs before the
-    first row.  A cap spectrum re-solved at a larger count shifts its lower
-    eigenvalues slightly, so growing it once keeps every row on the same
-    eigenvalue list.
+    first row.  A cap spectrum re-solved at a larger count reproduces its
+    lower eigenvalues only to about one ulp (to about 1e-11 where the count
+    cuts a degenerate cluster), so growing it once keeps every row on one
+    bit-identical eigenvalue list.
     """
     cfg = cfg or Config()
     alphas = sorted(float(a) for a in alphas)

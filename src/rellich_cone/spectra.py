@@ -18,6 +18,7 @@ sphere and strictly positive otherwise.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
@@ -218,8 +219,8 @@ def explicit_spectrum(values) -> Spectrum:
 # ---------------------------------------------------------------------------
 
 
-def _cap_eigenvalues_m(n: int, theta0: float, m: int, grid: int, per_m: int) -> np.ndarray:
-    """Lowest eigenvalues of the order-m problem on the cap, one grid.
+def _cap_tridiagonal(n: int, theta0: float, m: int, grid: int):
+    """Symmetric tridiagonal (d, e) of the order-m problem on the cap, one grid.
 
     The problem on (0, theta0) with weight w = sin^(n-2):
 
@@ -264,30 +265,32 @@ def _cap_eigenvalues_m(n: int, theta0: float, m: int, grid: int, per_m: int) -> 
     inv_sqrt = 1.0 / np.sqrt(mass)
     d = diag * inv_sqrt**2
     e = lower * inv_sqrt[:-1] * inv_sqrt[1:]
-    top = min(per_m, k) - 1
-    vals = eigh_tridiagonal(d, e, select="i", select_range=(0, top))[0]
-    return vals
+    return d, e
 
 
-def _cap_merged(n, theta0, count, grid, m_max):
-    """Merge per-m eigenvalues (one grid) into the lowest ``count`` overall."""
+def _cap_merged(n, theta0, count, grid):
+    """Merge per-m eigenvalues (one grid) into the lowest ``count`` overall.
+
+    Adds orders m = 0, 1, 2, ... until one has no eigenvalue at or below the
+    count-th merged value; the order-m bottom eigenvalue rises with m (m only
+    adds a potential), so no later order can contribute.  Returns the merged
+    values and the highest order solved.
+    """
+    # bisect each eigenvalue to stebz's relative tolerance: the default
+    # absolute one, eps * |T|, grows like 1/dx^2
+    tol = np.finfo(float).tiny
     merged = []
-    first_of_m = []
-    for m in range(m_max + 1):
-        vals = _cap_eigenvalues_m(n, theta0, m, grid, count)
-        first_of_m.append(vals[0])
-        merged.extend(vals.tolist())
-    merged.sort()
-    merged = merged[:count]
-    # the order-m bottom eigenvalue increases with m, so the scan is
-    # complete once the last scanned order starts above the merged tail
-    if len(merged) == count and first_of_m[-1] < merged[-1]:
-        raise SpectrumError(
-            f"cap spectrum scan with m_max={m_max} cannot certify the lowest "
-            f"{count} eigenvalues (order {m_max} starts at {first_of_m[-1]:.6g}, "
-            f"below the {count}-th merged value {merged[-1]:.6g}); raise m_max"
-        )
-    return merged
+    for m in itertools.count():
+        d, e = _cap_tridiagonal(n, theta0, m, grid)
+        if len(merged) < count:
+            select, bounds = "i", (0, min(count, d.size) - 1)
+        else:
+            select, bounds = "v", (-1.0, merged[-1])
+        vals = eigh_tridiagonal(d, e, eigvals_only=True, select=select,
+                                select_range=bounds, tol=tol)
+        if vals.size == 0:
+            return merged, m
+        merged = sorted(merged + vals.tolist())[:count]
 
 
 def cap_spectrum(
@@ -295,7 +298,6 @@ def cap_spectrum(
     theta0: float,
     count: int = 8,
     grid: int = 2048,
-    m_max: int = 8,
     rtol: float = 1e-5,
 ) -> Spectrum:
     """Lowest Dirichlet eigenvalues of the geodesic cap of radius theta0.
@@ -306,6 +308,9 @@ def cap_spectrum(
     combination (4 b - a)/3 removes the leading error term).  If the two
     grids disagree by more than ``rtol`` relative, the computation is
     reported as non-convergent rather than silently accepted.
+
+    Azimuthal orders are not cut off; ``resolution_meta["m_max"]`` is the
+    highest order solved on either grid.
     """
     if n < 3:
         raise ValueError(f"cap spectra need n >= 3, got {n}")
@@ -316,8 +321,8 @@ def cap_spectrum(
     domain = DomainSpec.cap(theta0)
 
     def solve(c):
-        coarse = _cap_merged(n, theta0, c, grid, m_max)
-        fine = _cap_merged(n, theta0, c, 2 * grid, m_max)
+        coarse, m_coarse = _cap_merged(n, theta0, c, grid)
+        fine, m_fine = _cap_merged(n, theta0, c, 2 * grid)
         rel = max(
             abs(b - a) / max(abs(b), 1e-300) for a, b in zip(coarse, fine)
         )
@@ -328,15 +333,15 @@ def cap_spectrum(
             )
         # near-degenerate pairs can land out of order after extrapolation
         extrapolated = sorted((4.0 * b - a) / 3.0 for a, b in zip(coarse, fine))
-        return extrapolated, rel
+        return extrapolated, rel, max(m_coarse, m_fine)
 
-    values, rel = solve(count)
+    values, rel, highest_m = solve(count)
     meta = {
         "grid": grid,
         "refined_grid": 2 * grid,
         "max_rel_change": rel,
         "value": "richardson(h, h/2)",
-        "m_max": m_max,
+        "m_max": highest_m,
     }
 
     def provider(c):
@@ -346,8 +351,7 @@ def cap_spectrum(
                     provider=provider)
 
 
-def spectrum_for(domain: DomainSpec, n: int, count: int = 16, *,
-                 cap_grid: int = 2048, m_max: int = 8) -> Spectrum:
+def spectrum_for(domain: DomainSpec, n: int, count: int = 16) -> Spectrum:
     """Build the spectrum of ``domain`` inside S^(n-1)."""
     if domain.kind is DomainKind.FULL_SPHERE:
         return full_sphere_spectrum(n, count)
@@ -356,7 +360,7 @@ def spectrum_for(domain: DomainSpec, n: int, count: int = 16, *,
             raise ValueError(f"arc domains require n = 2, got n = {n}")
         return arc_spectrum(domain.length, count)
     if domain.kind is DomainKind.CAP:
-        return cap_spectrum(n, domain.theta0, count, grid=cap_grid, m_max=m_max)
+        return cap_spectrum(n, domain.theta0, count)
     return explicit_spectrum(domain.values)
 
 

@@ -362,7 +362,7 @@ def witness_suite(cfg: Config) -> list[CheckResult]:
 def spectra_suite(cfg: Config) -> list[CheckResult]:
     out = []
     for n in (3, 4, 5):
-        spec = cap_spectrum(n, np.pi / 2, count=1, grid=cfg.cap_grid, m_max=cfg.m_max)
+        spec = cap_spectrum(n, np.pi / 2, count=1)
         rel = abs(spec.lambda_min - (n - 1)) / (n - 1)
         out.append(_check(
             f"spectra/hemisphere-n{n}",
@@ -377,7 +377,7 @@ def spectra_suite(cfg: Config) -> list[CheckResult]:
     out.append(_check("spectra/arc-exact-half", ok2, f"length pi/2: {arc2.eigenvalues}"))
     thetas = (np.pi / 4, np.pi / 2, 3 * np.pi / 4)
     for n in (3, 4):
-        vals = [cap_spectrum(n, t, count=1, grid=1024, m_max=cfg.m_max).lambda_min
+        vals = [cap_spectrum(n, t, count=1, grid=1024).lambda_min
                 for t in thetas]
         ok = vals[0] > vals[1] > vals[2] > 0
         out.append(_check(

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from rellich_cone import DegenerateModeError, SolverError, derive
+from rellich_cone import DegenerateModeError, SolverError, derive, mode_value
 from rellich_cone.cli import main
 from rellich_cone.config import Config, load_config, resolve_config
 
@@ -61,6 +61,14 @@ class TestConstant:
         data = json.loads(out)
         assert data["positive"] is True
         assert data["M"] == pytest.approx(25 / 36, rel=1e-7)
+
+    def test_cap_needing_high_azimuthal_orders(self, capsys):
+        # M is attained near lambda = 197.5, above the bottom of order 8
+        code, out, _ = run_cli(capsys, "constant", "--n", "3", "--alpha=30",
+                               "--domain", "cap:1.0", "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["M"] == mode_value(derive(3, 30.0), data["attained_lambda"])
 
     def test_bad_domain_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "constant", "--n", "3", "--alpha", "0",
@@ -156,7 +164,7 @@ class TestScan:
         lines = out.splitlines()
         assert lines[0] == "alpha,delta_rad,M,numeric_delta,regime,certified"
         assert [line.split(",")[0] for line in lines[1:]] == ["0", "0.25"]
-        assert code != 0
+        assert code == 4
         assert "injected breakdown" in err
 
     def test_table_format(self, capsys):
@@ -192,6 +200,14 @@ class TestSpectrumCommand:
                                f"file:{path}", "--count", "2")
         assert code == 0
         assert "0.5" in out and "2.5" in out
+
+    def test_unresolved_cap_exit_4(self, capsys):
+        # a thin complement: the two cap grids disagree beyond rtol
+        code, out, err = run_cli(capsys, "spectrum", "--n", "5", "--domain",
+                                 "cap:3.0", "--count", "8")
+        assert code == 4
+        assert out == ""
+        assert "did not converge" in err
 
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "--n", "3", "--domain",

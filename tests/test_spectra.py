@@ -112,6 +112,10 @@ class TestCap:
         meta = spec.resolution_meta
         assert meta["grid"] == 512 and meta["refined_grid"] == 1024
         assert meta["max_rel_change"] < 1e-5
+        # m_max is the highest azimuthal order solved, not a cutoff
+        few = cap_spectrum(3, np.pi / 2, count=4).resolution_meta["m_max"]
+        many = cap_spectrum(3, np.pi / 2, count=40).resolution_meta["m_max"]
+        assert many > few
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     @pytest.mark.parametrize("theta0", [1.0, np.pi / 2, 2.0])
@@ -161,11 +165,22 @@ class TestCap:
         with pytest.raises(ValueError):
             cap_spectrum(3, np.pi, count=1)
 
-    def test_insufficient_m_max_detected(self):
-        # asking for many eigenvalues with a tiny azimuthal cutoff must fail
-        # loudly instead of silently dropping modes
-        with pytest.raises(SpectrumError):
-            cap_spectrum(3, np.pi / 2, count=12, grid=256, m_max=1)
+    def test_hemisphere_n3_exact_forty(self):
+        # the harmonics of degree k and order m that vanish on the equator
+        # (k - m odd) give one value k(k+1) per pair; the lowest 40 reach
+        # azimuthal orders above 8, so no order may be cut off
+        exact = sorted(k * (k + 1) for k in range(20) for m in range(k + 1)
+                       if (k - m) % 2 == 1)[:40]
+        spec = cap_spectrum(3, np.pi / 2, count=40)
+        assert spec.eigenvalues == pytest.approx(exact, rel=1e-9)
+
+    @pytest.mark.parametrize("n,theta0", [(3, 1.0), (5, 0.7), (6, 2.5)])
+    def test_count_independent(self, n, theta0):
+        # each eigenvalue is bisected to full relative precision, so asking
+        # for more of the spectrum leaves the lower entries as they were
+        low = cap_spectrum(n, theta0, count=8).eigenvalues
+        high = cap_spectrum(n, theta0, count=32).eigenvalues[:8]
+        assert low == pytest.approx(high, rel=1e-13)
 
 
 class TestExplicitAndFiles:
@@ -217,7 +232,7 @@ class TestSpectrumFor:
         assert spectrum_for(DomainSpec.sphere(), 3).is_full_sphere
         assert spectrum_for(DomainSpec.arc(np.pi), 2).lambda_min == 1.0
         assert spectrum_for(DomainSpec.explicit([1.0]), 4).eigenvalues == [1.0]
-        cap = spectrum_for(DomainSpec.cap(np.pi / 2), 3, count=1, cap_grid=512)
+        cap = spectrum_for(DomainSpec.cap(np.pi / 2), 3, count=1)
         assert cap.lambda_min == pytest.approx(2.0, rel=1e-6)
 
     def test_arc_needs_dimension_two(self):

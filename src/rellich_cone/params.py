@@ -160,7 +160,7 @@ def _best_mode(p: Params, spectrum: Spectrum):
             f"alpha = 4 - n = {p.alpha}: the mode minimum is undefined at the "
             "critical exponent; use critical_constant instead"
         )
-    candidates = spectrum.eigenvalues_past(mode_threshold(p), guard=1)
+    candidates = spectrum.around(mode_threshold(p))
     best = best_lam = None
     for lam in candidates:
         v = mode_value(p, lam)
@@ -294,7 +294,7 @@ def _neg_gamma_in_spectrum(p: Params, spectrum: Spectrum) -> bool:
     target = -exact.gamma
     if target < 0:
         return False
-    candidates = spectrum.eigenvalues_past(target, guard=1)
+    candidates = spectrum.around(target)
     if spectrum.is_full_sphere:
         return any(lam == target for lam in candidates)
     tol = MEMBERSHIP_TOL

@@ -18,6 +18,7 @@ sphere and strictly positive otherwise.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
@@ -106,13 +107,16 @@ class Spectrum:
     ``eigenvalues`` holds the entries computed so far.  When a provider is
     attached, ``eigenvalues_past`` transparently extends the list; explicit
     spectra cannot be extended and raise :class:`SpectrumError` when asked
-    for entries beyond what they hold.
+    for entries beyond what they hold.  ``neighbours(value)``, when
+    attached, returns the largest eigenvalue below ``value`` and the
+    smallest at or above it without enumerating the ones below.
     """
 
     eigenvalues: list
     domain: DomainSpec | None = None
     resolution_meta: dict = field(default_factory=dict)
     provider: Callable[[int], Sequence] | None = None
+    neighbours: Callable[[float], tuple] | None = None
 
     def __post_init__(self):
         if not self.eigenvalues:
@@ -165,6 +169,19 @@ class Spectrum:
             if not self._grow(need):
                 break  # guard entries are best-effort past the threshold
         return list(self.eigenvalues[: min(need, len(self.eigenvalues))])
+
+    def around(self, value) -> list:
+        """Ascending entries holding lambda_min and both neighbours of ``value``.
+
+        Enough for a membership test at ``value`` and for the minimum of a
+        function that rises, then falls up to ``value``, then rises.  While
+        the held entries reach ``value``, or without ``neighbours``, this is
+        ``eigenvalues_past(value, guard=1)``; otherwise it is lambda_min and
+        the two neighbours.
+        """
+        if self.neighbours is None or self.eigenvalues[-1] >= value:
+            return self.eigenvalues_past(value, guard=1)
+        return [self.lambda_min, *self.neighbours(value)]
 
 
 def lambda_min(spectrum: Spectrum):
@@ -293,6 +310,33 @@ def _cap_merged(n, theta0, count, grid):
         merged = sorted(merged + vals.tolist())[:count]
 
 
+def _cap_near(n, theta0, value, grid):
+    """Each order's eigenvalues next to ``value``, on ``grid`` and ``2 * grid``.
+
+    Yields (coarse, fine) for m = 0, 1, ... up to the first order with no
+    eigenvalue at or below ``value``.  With k the order's count at or below
+    ``value`` on ``grid``, both hold indices k-2 .. k+1, so that they pair
+    by eigenfunction: two on each side, because extrapolation can move one
+    eigenvalue across ``value``.
+    """
+    tol = np.finfo(float).tiny
+    for m in itertools.count():
+        d, e = _cap_tridiagonal(n, theta0, m, grid)
+        # bisection to an absolute tolerance as wide as the range stops at
+        # once; the number of values returned is still the Sturm count
+        below = eigh_tridiagonal(d, e, eigvals_only=True, select="v",
+                                 select_range=(-1.0, value), tol=value).size
+        index = (max(below - 2, 0), min(below + 1, d.size - 1))
+        coarse = eigh_tridiagonal(d, e, eigvals_only=True, select="i",
+                                  select_range=index, tol=tol)
+        d, e = _cap_tridiagonal(n, theta0, m, 2 * grid)
+        fine = eigh_tridiagonal(d, e, eigvals_only=True, select="i",
+                                select_range=index, tol=tol)
+        yield coarse, fine
+        if below == 0:
+            return
+
+
 def cap_spectrum(
     n: int,
     theta0: float,
@@ -311,6 +355,11 @@ def cap_spectrum(
 
     Azimuthal orders are not cut off; ``resolution_meta["m_max"]`` is the
     highest order solved on either grid.
+
+    The spectrum's ``neighbours`` solves, in every order, only the
+    eigenvalues next to the value asked for, extrapolated and checked
+    against ``rtol`` the same way: its cost grows with the number of orders
+    below the value, not with the number of eigenvalues.
     """
     if n < 3:
         raise ValueError(f"cap spectra need n >= 3, got {n}")
@@ -320,17 +369,20 @@ def cap_spectrum(
         raise ValueError("count must be >= 1")
     domain = DomainSpec.cap(theta0)
 
-    def solve(c):
-        coarse, m_coarse = _cap_merged(n, theta0, c, grid)
-        fine, m_fine = _cap_merged(n, theta0, c, 2 * grid)
-        rel = max(
-            abs(b - a) / max(abs(b), 1e-300) for a, b in zip(coarse, fine)
-        )
+    def check(rel):
         if rel > rtol:
             raise ConvergenceError(
                 f"cap eigenvalues did not converge: grids {grid}/{2*grid} "
                 f"disagree by {rel:.3e} relative (tolerance {rtol:.1e})"
             )
+        return rel
+
+    def solve(c):
+        coarse, m_coarse = _cap_merged(n, theta0, c, grid)
+        fine, m_fine = _cap_merged(n, theta0, c, 2 * grid)
+        rel = check(max(
+            abs(b - a) / max(abs(b), 1e-300) for a, b in zip(coarse, fine)
+        ))
         # near-degenerate pairs can land out of order after extrapolation
         extrapolated = sorted((4.0 * b - a) / 3.0 for a, b in zip(coarse, fine))
         return extrapolated, rel, max(m_coarse, m_fine)
@@ -347,8 +399,24 @@ def cap_spectrum(
     def provider(c):
         return solve(c)[0]
 
+    # classify asks at -gamma and at the mode threshold, often the same value
+    @functools.lru_cache(maxsize=None)
+    def neighbours(value):
+        # every value solved at or below the upper neighbour must pass rtol;
+        # those below ``value`` are checked at once, so hopeless values fail
+        # in the first order
+        near = []
+        for coarse, fine in _cap_near(n, theta0, float(value), grid):
+            for a, b in zip(coarse, fine):
+                near.append(((4.0 * b - a) / 3.0, abs(b - a) / abs(b)))
+                if near[-1][0] < value:
+                    check(near[-1][1])
+        above, rel = min(pair for pair in near if pair[0] >= value)
+        check(rel)
+        return max(v for v, _ in near if v < value), above
+
     return Spectrum(eigenvalues=values, domain=domain, resolution_meta=meta,
-                    provider=provider)
+                    provider=provider, neighbours=neighbours)
 
 
 def spectrum_for(domain: DomainSpec, n: int, count: int = 16) -> Spectrum:

@@ -70,6 +70,16 @@ class TestConstant:
         data = json.loads(out)
         assert data["M"] == mode_value(derive(3, 30.0), data["attained_lambda"])
 
+    def test_cap_resolved_where_doubled_count_is_not(self, capsys):
+        # needs the eigenvalues up to lambda ~ 215; a list grown by doubling
+        # reaches 64 entries and lambda ~ 310, where the grids disagree by
+        # more than rtol
+        code, out, _ = run_cli(capsys, "constant", "--n", "6", "--alpha=31.607",
+                               "--domain", "cap:1.5054", "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["M"] == mode_value(derive(6, 31.607), data["attained_lambda"])
+
     def test_bad_domain_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "constant", "--n", "3", "--alpha", "0",
                                "--domain", "cube:1")

@@ -182,6 +182,43 @@ class TestCap:
         high = cap_spectrum(n, theta0, count=32).eigenvalues[:8]
         assert low == pytest.approx(high, rel=1e-13)
 
+    @pytest.mark.parametrize("n,theta0,value", [
+        (3, 1.0, 195.75), (5, 1.5084, 345.99), (6, 0.7, 400.0),
+    ])
+    def test_neighbours_match_enumeration(self, n, theta0, value):
+        # solving only each order's eigenvalues next to the value finds the
+        # same neighbours as enumerating every eigenvalue below it (rtol is
+        # off for the listing: its top entries are not meant to converge)
+        listed = cap_spectrum(n, theta0, count=128, rtol=1.0).eigenvalues
+        assert listed[-1] > value
+        below = max(v for v in listed if v < value)
+        above = min(v for v in listed if v >= value)
+        spec = cap_spectrum(n, theta0, count=4)
+        assert spec.eigenvalues[-1] < value
+        lam_min, *near = spec.around(value)
+        assert lam_min == spec.lambda_min
+        assert near == pytest.approx([below, above], rel=1e-12)
+
+    def test_around_answers_from_held_entries(self):
+        spec = cap_spectrum(4, 1.0, count=16)
+        value = spec.eigenvalues[5]
+        assert spec.around(value) == spec.eigenvalues_past(value, guard=1)
+
+    def test_unresolvable_neighbours_fail_in_first_order(self, monkeypatch):
+        from rellich_cone import spectra
+        orders = []
+        build = spectra._cap_tridiagonal
+
+        def recording(n, theta0, m, grid):
+            orders.append(m)
+            return build(n, theta0, m, grid)
+
+        spec = cap_spectrum(3, 1.0, count=4)
+        monkeypatch.setattr(spectra, "_cap_tridiagonal", recording)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            spec.around(1e9)
+        assert set(orders) == {0}
+
 
 class TestExplicitAndFiles:
     def test_explicit_roundtrip(self):

@@ -27,6 +27,15 @@ produce spurious zero modes when Bl < 0).  The numerator matrix T^t T is
 pentadiagonal and positive semidefinite by construction; the generalized
 symmetric problem is solved by shift-invert Lanczos iteration with the
 denominator matrix as the metric.
+
+The shift sits just below the smallest eigenvalue and is certified there
+by inertia: banded Cholesky of T^t T - sigma D succeeds iff sigma is below
+every eigenvalue, and bisection on that test brackets the minimum to
+1e-7 relative.  The bottom of the discrete spectrum is a cluster with
+O(1/L^2) spacing, so a shift at 0 can need hundreds of inner solves, while
+a shift that is merely close (such as the Fourier-symbol infimum, which the
+discrete minimum can undershoot by O(dx^2)) may lie above the minimum,
+where the eigenvalue nearest the shift need not be the smallest one.
 """
 
 from __future__ import annotations
@@ -38,6 +47,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .cylinder import CylinderFunction, cylinder_quotient
 from .errors import SolverError
@@ -57,6 +67,13 @@ __all__ = [
 
 #: relative eigenpair residual accepted from the solver
 RESIDUAL_TOL = 1e-10
+
+#: width of the bisection bracket around the smallest eigenvalue, relative
+#: to its upper end, at which the certified shift is accepted
+SHIFT_REL_GAP = 1e-7
+
+#: hard cap on bisection steps (reached only when mu_min is near 0)
+SHIFT_STEPS = 64
 
 #: default tolerance for comparisons against the closed-form bound
 #: (dominated by domain truncation, not by the eigensolver)
@@ -134,16 +151,58 @@ def _assemble(A, Bl, Cl, L, N):
     return P, D, dx
 
 
+def _definite(P_band, D_band, sigma):
+    """Whether P - sigma D is numerically positive definite (banded Cholesky)."""
+    return lapack.dpbtrf(P_band - sigma * D_band, lower=1)[1] == 0
+
+
+def _certified_shift(P, D, v0):
+    """Bracket (lo, hi) of the smallest eigenvalue mu_min of the pencil (P, D).
+
+    For SPD D, P - sigma D is positive definite iff sigma < mu_min
+    (Sylvester's law of inertia), so a banded Cholesky factorization that
+    succeeds certifies lo < mu_min.  ``hi`` starts at the Rayleigh quotient
+    of ``v0``, which is >= mu_min.  Bisect until the bracket is
+    SHIFT_REL_GAP * hi wide.  Rounding blurs the test only by the backward
+    error of the factorization, far inside the O(1/L^2) gap to the next
+    eigenvalue, so shift-invert still converges to mu_min.
+    """
+    N = P.shape[0]
+    P_band = np.zeros((3, N))
+    P_band[0], P_band[1, :-1], P_band[2, :-2] = P.diagonal(), P.diagonal(-1), P.diagonal(-2)
+    D_band = np.zeros((3, N))
+    D_band[0], D_band[1, :-1] = D.diagonal(), D.diagonal(-1)
+    hi = float(v0 @ (P @ v0)) / float(v0 @ (D @ v0))
+    lo = 0.0
+    if not _definite(P_band, D_band, lo):
+        # P is PSD but rounding can leave its factorization a hair short
+        lo = -1e-10
+        if not _definite(P_band, D_band, lo):
+            raise SolverError("numerator matrix is not numerically semidefinite")
+    for _ in range(SHIFT_STEPS):
+        if hi - lo <= SHIFT_REL_GAP * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        if _definite(P_band, D_band, mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def _solve_smallest(A, Bl, Cl, L, N):
     """Smallest generalized eigenpair of (T^t T) v = mu D v."""
     P, D, dx = _assemble(A, Bl, Cl, L, N)
     s = np.linspace(-L + dx, L - dx, N)
     v0 = np.exp(-((s / (L / 4.0)) ** 2))  # deterministic start vector
+    sigma, _ = _certified_shift(P, D, v0)
     try:
-        vals, vecs = spla.eigsh(P, k=1, M=D, sigma=0.0, which="LM", v0=v0)
-    except RuntimeError:
-        # singular numerator factorization: nudge the shift below zero
-        vals, vecs = spla.eigsh(P, k=1, M=D, sigma=-1e-10, which="LM", v0=v0)
+        vals, vecs = spla.eigsh(P, k=1, M=D, sigma=sigma, which="LM", v0=v0)
+    except RuntimeError as exc:
+        raise SolverError(
+            f"shift-invert eigensolver failed at sigma={sigma!r}: {exc} "
+            f"(A={A}, Bl={Bl}, Cl={Cl}, L={L}, N={N})"
+        ) from exc
     mu, vec = float(vals[0]), vecs[:, 0]
     res_vec = P @ vec - mu * (D @ vec)
     # backward-error normalization: residual relative to the operator scale

@@ -119,9 +119,12 @@ class TestScan:
     def test_byte_determinism(self, capsys):
         args = ("scan", "--n", "3", "--alpha-from", "-1", "--alpha-to", "2",
                 "--step", "0.3", "--format", "csv")
-        _, out1, _ = run_cli(capsys, *args)
-        _, out2, _ = run_cli(capsys, *args)
-        assert out1 == out2
+        numeric = ("--with-numeric", "--mode-l", "40", "--mode-n", "400")
+        for argv in (args, args + numeric):
+            _, out1, _ = run_cli(capsys, *argv)
+            _, out2, _ = run_cli(capsys, *argv)
+            assert out1 == out2
+        assert out1.splitlines()[1].split(",")[3] != ""  # numeric column filled
 
     def test_json_mirrors_fields(self, capsys):
         code, out, _ = run_cli(capsys, "scan", "--n", "2", "--alpha-from", "0",

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+import scipy.sparse as sp
 from scipy.linalg import eigh
 
 from rellich_cone import (
     CylinderFunction,
     LineBump,
     ModeProblem,
+    SolverError,
     best_mode_constant,
     cylinder_quotient,
     decompose_and_bound,
@@ -23,7 +25,7 @@ from rellich_cone import (
     scaled_family_value,
     window_bound_check,
 )
-from rellich_cone.modes import _assemble, _solve_smallest
+from rellich_cone.modes import SHIFT_REL_GAP, _assemble, _certified_shift, _solve_smallest
 
 # unit-test resolution: coarser than the verification default but sharp
 # enough for every bound below (truncation only raises the minimum)
@@ -132,6 +134,11 @@ class TestMinimizeMode:
     # the eigenvalue itself is conditioned to about 1e-10 at N = 1000 in
     # either solver, so the critical case sits at N = 50.
     (-1.0, 0.0, 0.0, 50),
+    # the slowest scan --with-numeric solve
+    (-5.25, -2.890625, 0.390625, 1000),
+    # extreme coefficients: a huge lambda shift and a strongly negative Bl
+    (0.0, 1e6, 1e6, 200),
+    (-50.0, -600.0, 1.0, 200),
 ])
 def test_sparse_matches_dense_reference(A, Bl, Cl, N):
     L = 60.0
@@ -139,6 +146,53 @@ def test_sparse_matches_dense_reference(A, Bl, Cl, N):
     reference = eigh(P.toarray(), D.toarray(), eigvals_only=True, subset_by_index=[0, 0])[0]
     value = _solve_smallest(A, Bl, Cl, L, N)[0]
     assert value == pytest.approx(reference, rel=1e-10)
+
+
+class TestCertifiedShift:
+    @pytest.mark.parametrize("A,Bl,Cl,N", [
+        (-5.25, -2.890625, 0.390625, 1000),
+        (0.0, 1e6, 1e6, 200),
+        (-50.0, -600.0, 1.0, 200),
+        (-1.0, 0.0, 0.0, 50),   # Cl = 0: pure-stiffness metric
+    ])
+    def test_strictly_below_and_tight(self, A, Bl, Cl, N):
+        L = 60.0
+        P, D, _ = _assemble(A, Bl, Cl, L, N)
+        reference = eigh(P.toarray(), D.toarray(), eigvals_only=True,
+                         subset_by_index=[0, 0])[0]
+        # any start vector works: its Rayleigh quotient bounds mu_min above
+        lo, hi = _certified_shift(P, D, np.ones(N))
+        assert lo < reference
+        assert reference - lo <= SHIFT_REL_GAP * hi
+
+    def test_singular_numerator_terminates_below_zero(self):
+        # path-graph Laplacian: PSD with the constant vector as null vector,
+        # so Cholesky at 0 fails and the bracket can never close relatively
+        N = 10
+        P = sp.diags([np.full(N - 1, -1.0), np.r_[1.0, np.full(N - 2, 2.0), 1.0],
+                      np.full(N - 1, -1.0)], [-1, 0, 1], format="csc")
+        D = sp.identity(N, format="csc")
+        lo, hi = _certified_shift(P, D, np.arange(N, dtype=float))
+        assert -1e-10 <= lo < 0.0
+        assert lo < hi
+
+    def test_indefinite_numerator_raises(self):
+        N = 10
+        D = sp.identity(N, format="csc")
+        with pytest.raises(SolverError, match="semidefinite"):
+            _certified_shift(-D, D, np.ones(N))
+
+    def test_singular_factor_raises_without_retry(self, monkeypatch):
+        calls = []
+
+        def singular(*args, **kwargs):
+            calls.append(kwargs["sigma"])
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr("rellich_cone.modes.spla.eigsh", singular)
+        with pytest.raises(SolverError, match="exactly singular"):
+            _solve_smallest(-2.0, 1.25, 2.25, 60.0, 50)
+        assert len(calls) == 1
 
 
 class TestScaledFamily:

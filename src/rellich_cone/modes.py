@@ -24,18 +24,16 @@ two-cell zero extension of the unknown vector, so the discrete function
 class mimics compactly supported C^2 functions (plain Dirichlet endpoints
 would let one-sided exponentials leak energy through the boundary and
 produce spurious zero modes when Bl < 0).  The numerator matrix T^t T is
-pentadiagonal and positive semidefinite by construction; the generalized
-symmetric problem is solved by shift-invert Lanczos iteration with the
-denominator matrix as the metric.
+pentadiagonal and positive semidefinite by construction, the denominator
+D tridiagonal and positive definite; both live in LAPACK band storage.
 
-The shift sits just below the smallest eigenvalue and is certified there
-by inertia: banded Cholesky of T^t T - sigma D succeeds iff sigma is below
-every eigenvalue, and bisection on that test brackets the minimum to
-1e-7 relative.  The bottom of the discrete spectrum is a cluster with
-O(1/L^2) spacing, so a shift at 0 can need hundreds of inner solves, while
-a shift that is merely close (such as the Fourier-symbol infimum, which the
-discrete minimum can undershoot by O(dx^2)) may lie above the minimum,
-where the eigenvalue nearest the shift need not be the smallest one.
+Banded Cholesky of T^t T - sigma D succeeds iff sigma is below the smallest
+eigenvalue mu_min (inertia); bisection on that test brackets mu_min to 1e-7
+relative, and inverse iteration with the factor at the lower end converges
+in two or three steps, the next eigenvalue being O(1/L^2) away.  It stops on
+the residual of the inverted operator: the backward error of (mu, v) is
+relative to ||T^t T|| ~ 16/dx^4, so for small mu_min it passes while the
+vector still holds enough of the next eigenvector to raise mu by up to a third.
 """
 
 from __future__ import annotations
@@ -45,9 +43,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .cylinder import CylinderFunction, cylinder_quotient
 from .errors import SolverError
@@ -72,7 +68,7 @@ RESIDUAL_TOL = 1e-10
 #: to its upper end, at which the certified shift is accepted
 SHIFT_REL_GAP = 1e-7
 
-#: hard cap on bisection steps (reached only when mu_min is near 0)
+#: hard cap on bisection steps (reached only when mu_min is near 0) and iterations
 SHIFT_STEPS = 64
 
 #: default tolerance for comparisons against the closed-form bound
@@ -126,88 +122,92 @@ class ModeMinimum:
 
 
 def _assemble(A, Bl, Cl, L, N):
-    """Numerator T^t T and denominator (stiffness + Cl) matrices.
+    """Numerator T^t T and denominator (stiffness + Cl) in lower band storage.
 
     Unknowns are the N interior values on (-L, L); T maps them to the N + 2
-    stencil rows touching a nonzero value of the zero-extended vector.
+    stencil rows touching a nonzero value of the zero-extended vector, so
+    T^t T is Toeplitz.  Row k of a band is the k-th subdiagonal, zero-padded.
     """
     dx = 2.0 * L / (N + 1)
     c_plus = 1.0 / dx**2 + A / (2 * dx)
     c_mid = -2.0 / dx**2 - Bl
     c_minus = 1.0 / dx**2 - A / (2 * dx)
-    T = sp.diags(
-        [np.full(N, c_plus), np.full(N, c_mid), np.full(N, c_minus)],
-        offsets=[0, -1, -2],
-        shape=(N + 2, N),
-        format="csc",
-    )
-    P = (T.T @ T).tocsc()
-    stiff = sp.diags(
-        [np.full(N - 1, -1.0), np.full(N, 2.0), np.full(N - 1, -1.0)],
-        [-1, 0, 1],
-        format="csc",
-    ) / dx**2
-    D = (stiff + Cl * sp.identity(N, format="csc")).tocsc()
+    P, D = np.zeros((3, N), order="F"), np.zeros((3, N), order="F")
+    P[0] = c_plus * c_plus + c_mid * c_mid + c_minus * c_minus
+    P[1, :-1] = c_plus * c_mid + c_mid * c_minus
+    P[2, :-2] = c_plus * c_minus
+    D[0] = 2.0 / dx**2 + Cl
+    D[1, :-1] = -1.0 / dx**2
     return P, D, dx
 
 
-def _definite(P_band, D_band, sigma):
-    """Whether P - sigma D is numerically positive definite (banded Cholesky)."""
-    return lapack.dpbtrf(P_band - sigma * D_band, lower=1)[1] == 0
+def _matvec(band, x):
+    return blas.dsbmv(2, 1.0, band, x, lower=1)
+
+
+def _bisect(P, D, lo, hi, factor):
+    """Halve (lo, hi): P - sigma D is positive definite iff sigma < mu_min."""
+    mid = 0.5 * (lo + hi)
+    mid_factor, info = lapack.dpbtrf(P - mid * D, lower=1, overwrite_ab=1)
+    return (mid, hi, mid_factor) if info == 0 else (lo, mid, factor)
 
 
 def _certified_shift(P, D, v0):
-    """Bracket (lo, hi) of the smallest eigenvalue mu_min of the pencil (P, D).
+    """Bracket (lo, hi) of mu_min and the Cholesky factor of P - lo D.
 
-    For SPD D, P - sigma D is positive definite iff sigma < mu_min
-    (Sylvester's law of inertia), so a banded Cholesky factorization that
-    succeeds certifies lo < mu_min.  ``hi`` starts at the Rayleigh quotient
-    of ``v0``, which is >= mu_min.  Bisect until the bracket is
-    SHIFT_REL_GAP * hi wide.  Rounding blurs the test only by the backward
-    error of the factorization, far inside the O(1/L^2) gap to the next
-    eigenvalue, so shift-invert still converges to mu_min.
+    ``hi`` starts at the Rayleigh quotient of ``v0``, ``lo`` at 0.  Rounding
+    blurs the inertia test only by the factorization's backward error, far
+    inside the O(1/L^2) gap to the next eigenvalue.
     """
-    N = P.shape[0]
-    P_band = np.zeros((3, N))
-    P_band[0], P_band[1, :-1], P_band[2, :-2] = P.diagonal(), P.diagonal(-1), P.diagonal(-2)
-    D_band = np.zeros((3, N))
-    D_band[0], D_band[1, :-1] = D.diagonal(), D.diagonal(-1)
-    hi = float(v0 @ (P @ v0)) / float(v0 @ (D @ v0))
-    lo = 0.0
-    if not _definite(P_band, D_band, lo):
-        # P is PSD but rounding can leave its factorization a hair short
-        lo = -1e-10
-        if not _definite(P_band, D_band, lo):
-            raise SolverError("numerator matrix is not numerically semidefinite")
+    hi = float(v0 @ _matvec(P, v0)) / float(v0 @ _matvec(D, v0))
+    # P is PSD, but rounding can leave its factorization at 0 a hair short
+    for lo in (0.0, -1e-10):
+        factor, info = lapack.dpbtrf(P - lo * D, lower=1, overwrite_ab=1)
+        if info == 0:
+            break
+    else:
+        raise SolverError("numerator matrix is not numerically semidefinite")
     for _ in range(SHIFT_STEPS):
         if hi - lo <= SHIFT_REL_GAP * hi:
             break
-        mid = 0.5 * (lo + hi)
-        if _definite(P_band, D_band, mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+        lo, hi, factor = _bisect(P, D, lo, hi, factor)
+    return lo, hi, factor
 
 
 def _solve_smallest(A, Bl, Cl, L, N):
-    """Smallest generalized eigenpair of (T^t T) v = mu D v."""
+    """Smallest generalized eigenpair of (T^t T) v = mu D v.
+
+    Inverse iteration y = F^-1 D x on the D-normalized iterate x, F the
+    certified factor, until ||y - theta x||_D <= sqrt(eps) theta, where
+    theta = x^T D y.  Other steps tighten the bracket (mu_min <= lo +
+    1/theta) and bisect it once more, raising the shift and F if they can.
+    """
     P, D, dx = _assemble(A, Bl, Cl, L, N)
     s = np.linspace(-L + dx, L - dx, N)
-    v0 = np.exp(-((s / (L / 4.0)) ** 2))  # deterministic start vector
-    sigma, _ = _certified_shift(P, D, v0)
-    try:
-        vals, vecs = spla.eigsh(P, k=1, M=D, sigma=sigma, which="LM", v0=v0)
-    except RuntimeError as exc:
-        raise SolverError(
-            f"shift-invert eigensolver failed at sigma={sigma!r}: {exc} "
-            f"(A={A}, Bl={Bl}, Cl={Cl}, L={L}, N={N})"
-        ) from exc
-    mu, vec = float(vals[0]), vecs[:, 0]
-    res_vec = P @ vec - mu * (D @ vec)
+    x = np.exp(-((s / (L / 4.0)) ** 2))  # deterministic start vector
+    lo, hi, factor = _certified_shift(P, D, x)
+    Dx = _matvec(D, x)
+    for _ in range(SHIFT_STEPS):
+        norm = math.sqrt(x @ Dx)
+        x, Dx = x / norm, Dx / norm
+        y = lapack.dpbtrs(factor, Dx, lower=1)[0]
+        Dy = _matvec(D, y)
+        theta = float(x @ Dy)
+        converged = (y - theta * x) @ (Dy - theta * Dx) <= np.finfo(float).eps * theta**2
+        x, Dx = y, Dy
+        if converged:
+            break
+        lo, hi, factor = _bisect(P, D, lo, min(hi, lo + 1.0 / theta), factor)
+    else:
+        raise SolverError(f"inverse iteration did not converge in {SHIFT_STEPS} steps "
+                          f"(A={A}, Bl={Bl}, Cl={Cl}, L={L}, N={N})")
+    Px = _matvec(P, x)
+    mu = float(x @ Px) / float(x @ Dx)
+    res_vec = Px - mu * Dx
     # backward-error normalization: residual relative to the operator scale
-    op_scale = float(np.abs(P).sum(axis=1).max() + abs(mu) * np.abs(D).sum(axis=1).max())
-    scale = op_scale * float(np.linalg.norm(vec))
+    ones = np.ones(N)
+    op_scale = float(_matvec(abs(P), ones).max() + abs(mu) * _matvec(abs(D), ones).max())
+    scale = op_scale * float(np.linalg.norm(x))
     residual = float(np.linalg.norm(res_vec) / scale) if scale > 0 else 0.0
     if residual > RESIDUAL_TOL:
         raise SolverError(
@@ -216,7 +216,7 @@ def _solve_smallest(A, Bl, Cl, L, N):
         )
     if mu < -1e-10:
         raise SolverError(f"negative minimum {mu:.3e} from a PSD numerator; solver breakdown")
-    return max(mu, 0.0), vec, s, residual
+    return max(mu, 0.0), x / math.sqrt(x @ Dx), s, residual
 
 
 def minimize_mode(prob: ModeProblem) -> ModeMinimum:

@@ -279,9 +279,15 @@ def _cap_tridiagonal(n: int, theta0: float, m: int, grid: int):
         diag = diag + nu * np.sin(nodes) ** (n - 4) * dx
         mass = np.sin(nodes) ** (n - 2) * dx
     # symmetrize the generalized problem with the diagonal mass
-    inv_sqrt = 1.0 / np.sqrt(mass)
-    d = diag * inv_sqrt**2
-    e = lower * inv_sqrt[:-1] * inv_sqrt[1:]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        inv_sqrt = 1.0 / np.sqrt(mass)
+        d = diag * inv_sqrt**2
+        e = lower * inv_sqrt[:-1] * inv_sqrt[1:]
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise ConvergenceError(
+            f"cap weight sin^(n-2) underflows in the cell masses at n={n} "
+            f"(order m={m}, grid {grid}); the pole cells cannot be resolved"
+        )
     return d, e
 
 

@@ -80,6 +80,15 @@ class TestConstant:
         data = json.loads(out)
         assert data["M"] == mode_value(derive(6, 31.607), data["attained_lambda"])
 
+    def test_cap_weight_underflow_exit_4(self, capsys):
+        # sin^(n-2) underflows in the pole cells: a valid input the solver
+        # cannot resolve, not invalid arguments
+        code, out, err = run_cli(capsys, "constant", "--n", "100", "--alpha=0.5",
+                                 "--domain", "cap:1.0")
+        assert code == 4
+        assert out == ""
+        assert "underflows" in err
+
     def test_bad_domain_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "constant", "--n", "3", "--alpha", "0",
                                "--domain", "cube:1")

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-import scipy.sparse as sp
 from scipy.linalg import eigh
 
 from rellich_cone import (
@@ -26,10 +25,39 @@ from rellich_cone import (
     window_bound_check,
 )
 from rellich_cone.modes import SHIFT_REL_GAP, _assemble, _certified_shift, _solve_smallest
+from rellich_cone import modes
 
 # unit-test resolution: coarser than the verification default but sharp
 # enough for every bound below (truncation only raises the minimum)
 FAST = dict(L=60.0, N=2400)
+
+
+def _dense(band):
+    """Dense symmetric matrix from its lower band storage."""
+    N = band.shape[1]
+    M = np.diag(band[0])
+    for k in range(1, band.shape[0]):
+        M += np.diag(band[k, : N - k], -k) + np.diag(band[k, : N - k], k)
+    return M
+
+
+def _dense_minimum(A, Bl, Cl, L, N):
+    P, D, _ = _assemble(A, Bl, Cl, L, N)
+    return eigh(_dense(P), _dense(D), eigvals_only=True, subset_by_index=[0, 0])[0]
+
+
+def _refined_dense_minimum(A, Bl, Cl, L, N):
+    """Extended-precision Rayleigh quotient of the dense ``eigh`` eigenvector.
+
+    The eigenvalue dense ``eigh`` returns for a small minimum can be off by
+    O(eps ||P|| / mu) relative (8e-8 at A = 0, Bl = -10, Cl = 0, L = 100,
+    N = 400); the quotient of its eigenvector is off only by the square of
+    the vector's error once the rounding of ``x^T P x`` is taken out.
+    """
+    P, D = (_dense(band) for band in _assemble(A, Bl, Cl, L, N)[:2])
+    x = eigh(P, D, subset_by_index=[0, 0])[1][:, 0].astype(np.longdouble)
+    P, D = P.astype(np.longdouble), D.astype(np.longdouble)
+    return float((x @ P @ x) / (x @ D @ x))
 
 
 class TestModeProblem:
@@ -93,6 +121,9 @@ class TestMinimizeMode:
         mm = minimize_mode(ModeProblem(A=-2.0, Bl=1.25, Cl=2.25, **FAST))
         assert mm.minimizer.shape == mm.grid.shape == (2400,)
         assert np.linalg.norm(mm.minimizer) > 0
+        # normalized in the denominator's metric
+        D = _assemble(-2.0, 1.25, 2.25, FAST["L"], FAST["N"])[1]
+        assert mm.minimizer @ modes._matvec(D, mm.minimizer) == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize("A,Bl,Cl", [
         (-2.0, 1.25, 2.25),
@@ -142,10 +173,32 @@ class TestMinimizeMode:
 ])
 def test_sparse_matches_dense_reference(A, Bl, Cl, N):
     L = 60.0
-    P, D, _ = _assemble(A, Bl, Cl, L, N)
-    reference = eigh(P.toarray(), D.toarray(), eigvals_only=True, subset_by_index=[0, 0])[0]
+    reference = _dense_minimum(A, Bl, Cl, L, N)
     value = _solve_smallest(A, Bl, Cl, L, N)[0]
     assert value == pytest.approx(reference, rel=1e-10)
+
+
+@pytest.mark.parametrize("A,Bl,Cl,L,N", [
+    # small minima: the backward-error gate passes after one inverse
+    # iteration step while the value is still 16 % and 33 % too high
+    (0.0, -0.011130276958326323, 0.0, 60.0, 800),
+    (0.0, -0.02861330093078528, 0.0, 40.0, 1200),
+    # a strongly negative Bl that shift-invert Lanczos left at residual 1.5e-10
+    (1.5415922053411029, -558.5345259806444, 0.0, 40.0, 1000),
+])
+def test_stopping_rule_matches_dense_reference(A, Bl, Cl, L, N):
+    # dense eigh carries its own O(eps ||P|| / mu) error here
+    assert _solve_smallest(A, Bl, Cl, L, N)[0] == pytest.approx(
+        _dense_minimum(A, Bl, Cl, L, N), rel=1e-7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(A=st.floats(-5, 5), Bl=st.floats(-10, 10),
+       Cl=st.one_of(st.just(0.0), st.floats(0, 10)), L=st.floats(10, 100),
+       N=st.integers(3, 400))
+def test_matches_dense_reference_property(A, Bl, Cl, L, N):
+    assert _solve_smallest(A, Bl, Cl, L, N)[0] == pytest.approx(
+        _refined_dense_minimum(A, Bl, Cl, L, N), rel=1e-8)
 
 
 class TestCertifiedShift:
@@ -158,41 +211,49 @@ class TestCertifiedShift:
     def test_strictly_below_and_tight(self, A, Bl, Cl, N):
         L = 60.0
         P, D, _ = _assemble(A, Bl, Cl, L, N)
-        reference = eigh(P.toarray(), D.toarray(), eigvals_only=True,
-                         subset_by_index=[0, 0])[0]
+        reference = _dense_minimum(A, Bl, Cl, L, N)
         # any start vector works: its Rayleigh quotient bounds mu_min above
-        lo, hi = _certified_shift(P, D, np.ones(N))
+        lo, hi, factor = _certified_shift(P, D, np.ones(N))
         assert lo < reference
         assert reference - lo <= SHIFT_REL_GAP * hi
+        # the factor returned is the Cholesky factor at the lower end
+        F = np.tril(_dense(factor))
+        np.testing.assert_allclose(F @ F.T, _dense(P - lo * D), rtol=0,
+                                   atol=1e-12 * np.abs(P).max())
 
     def test_singular_numerator_terminates_below_zero(self):
         # path-graph Laplacian: PSD with the constant vector as null vector,
         # so Cholesky at 0 fails and the bracket can never close relatively
         N = 10
-        P = sp.diags([np.full(N - 1, -1.0), np.r_[1.0, np.full(N - 2, 2.0), 1.0],
-                      np.full(N - 1, -1.0)], [-1, 0, 1], format="csc")
-        D = sp.identity(N, format="csc")
-        lo, hi = _certified_shift(P, D, np.arange(N, dtype=float))
+        P, D = np.zeros((3, N)), np.zeros((3, N))
+        P[0], P[1, :-1] = np.r_[1.0, np.full(N - 2, 2.0), 1.0], -1.0
+        D[0] = 1.0
+        lo, hi, _ = _certified_shift(P, D, np.arange(N, dtype=float))
         assert -1e-10 <= lo < 0.0
         assert lo < hi
 
     def test_indefinite_numerator_raises(self):
         N = 10
-        D = sp.identity(N, format="csc")
+        D = np.zeros((3, N))
+        D[0] = 1.0
         with pytest.raises(SolverError, match="semidefinite"):
             _certified_shift(-D, D, np.ones(N))
 
-    def test_singular_factor_raises_without_retry(self, monkeypatch):
+    def test_exhausted_step_budget_raises(self, monkeypatch):
+        # two bisection steps leave the shift far below mu_min, so two
+        # inverse-iteration steps cannot converge; no extra solve is made
+        solve = modes.lapack.dpbtrs
         calls = []
 
-        def singular(*args, **kwargs):
-            calls.append(kwargs["sigma"])
-            raise RuntimeError("Factor is exactly singular")
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
 
-        monkeypatch.setattr("rellich_cone.modes.spla.eigsh", singular)
-        with pytest.raises(SolverError, match="exactly singular"):
+        monkeypatch.setattr(modes, "SHIFT_STEPS", 2)
+        monkeypatch.setattr(modes.lapack, "dpbtrs", counted)
+        with pytest.raises(SolverError, match="did not converge in 2 steps"):
             _solve_smallest(-2.0, 1.25, 2.25, 60.0, 50)
-        assert len(calls) == 1
+        assert len(calls) == 2
 
 
 class TestScaledFamily:

@@ -27,13 +27,14 @@ produce spurious zero modes when Bl < 0).  The numerator matrix T^t T is
 pentadiagonal and positive semidefinite by construction, the denominator
 D tridiagonal and positive definite; both live in LAPACK band storage.
 
-Banded Cholesky of T^t T - sigma D succeeds iff sigma is below the smallest
-eigenvalue mu_min (inertia); bisection on that test brackets mu_min to 1e-7
-relative, and inverse iteration with the factor at the lower end converges
-in two or three steps, the next eigenvalue being O(1/L^2) away.  It stops on
-the residual of the inverted operator: the backward error of (mu, v) is
-relative to ||T^t T|| ~ 16/dx^4, so for small mu_min it passes while the
-vector still holds enough of the next eigenvector to raise mu by up to a third.
+Banded Cholesky of T^t T - sigma D succeeds iff sigma < mu_min (inertia), so
+a shift that factors is certified.  The first one tried is the infimum of the
+discrete symbol where |A| dx <= 2: Bl^2/Cl in the drift case, A^2 for the
+critical radial mode.  Inverse iteration on the factor closes the bracket,
+each step trying shifts just below its top lo + 1/theta.  It stops on the
+residual of the inverted operator once the bracket is closed: an iterate
+can settle on the second eigenpair, and the backward error, relative to
+||T^t T|| ~ 16/dx^4, passes for small mu_min with mu up to a third too high.
 """
 
 from __future__ import annotations
@@ -64,12 +65,14 @@ __all__ = [
 #: relative eigenpair residual accepted from the solver
 RESIDUAL_TOL = 1e-10
 
-#: width of the bisection bracket around the smallest eigenvalue, relative
-#: to its upper end, at which the certified shift is accepted
+#: width of the bracket on mu_min, relative to its top, that counts as closed
 SHIFT_REL_GAP = 1e-7
 
-#: hard cap on bisection steps (reached only when mu_min is near 0) and iterations
+#: hard cap on inverse-iteration steps
 SHIFT_STEPS = 64
+
+#: fraction of the bracket below its top where each step tries the next shift
+TRIAL_FRACTION = 1e-4
 
 #: default tolerance for comparisons against the closed-form bound
 #: (dominated by domain truncation, not by the eigensolver)
@@ -145,47 +148,30 @@ def _matvec(band, x):
     return blas.dsbmv(2, 1.0, band, x, lower=1)
 
 
-def _bisect(P, D, lo, hi, factor):
-    """Halve (lo, hi): P - sigma D is positive definite iff sigma < mu_min."""
-    mid = 0.5 * (lo + hi)
-    mid_factor, info = lapack.dpbtrf(P - mid * D, lower=1, overwrite_ab=1)
-    return (mid, hi, mid_factor) if info == 0 else (lo, mid, factor)
+def _factor(P, D, sigma):
+    """Cholesky factor of P - sigma D, or None; it exists iff sigma < mu_min."""
+    factor, info = lapack.dpbtrf(P - sigma * D, lower=1, overwrite_ab=1)
+    return factor if info == 0 else None
 
 
-def _certified_shift(P, D, v0):
-    """Bracket (lo, hi) of mu_min and the Cholesky factor of P - lo D.
+def _symbol_floor(A, Bl, Cl):
+    """The closed-form floor of mu_min named in the module docstring, else 0."""
+    drift = Cl > 0 and A * A + 2 * Bl > Bl * Bl / Cl
+    return Bl * Bl / Cl if drift else A * A if Bl == Cl == 0 else 0.0
 
-    ``hi`` starts at the Rayleigh quotient of ``v0``, ``lo`` at 0.  Rounding
-    blurs the inertia test only by the factorization's backward error, far
-    inside the O(1/L^2) gap to the next eigenvalue.
-    """
-    hi = float(v0 @ _matvec(P, v0)) / float(v0 @ _matvec(D, v0))
-    # P is PSD, but rounding can leave its factorization at 0 a hair short
-    for lo in (0.0, -1e-10):
-        factor, info = lapack.dpbtrf(P - lo * D, lower=1, overwrite_ab=1)
-        if info == 0:
+
+def _bottom_pair(P, D, floor, x):
+    """Closed bracket (lo, hi) of mu_min, the factor at lo, the iterate and D x.
+
+    lo starts at the first of floor, 0 and -1e-10 that factors; the gap is
+    relative to |hi|, so a numerator singular to rounding closes below 0."""
+    hi = float(x @ _matvec(P, x)) / float(x @ _matvec(D, x))
+    for lo in sorted({floor, 0.0, -1e-10}, reverse=True):
+        factor = _factor(P, D, lo)
+        if factor is not None:
             break
     else:
         raise SolverError("numerator matrix is not numerically semidefinite")
-    for _ in range(SHIFT_STEPS):
-        if hi - lo <= SHIFT_REL_GAP * hi:
-            break
-        lo, hi, factor = _bisect(P, D, lo, hi, factor)
-    return lo, hi, factor
-
-
-def _solve_smallest(A, Bl, Cl, L, N):
-    """Smallest generalized eigenpair of (T^t T) v = mu D v.
-
-    Inverse iteration y = F^-1 D x on the D-normalized iterate x, F the
-    certified factor, until ||y - theta x||_D <= sqrt(eps) theta, where
-    theta = x^T D y.  Other steps tighten the bracket (mu_min <= lo +
-    1/theta) and bisect it once more, raising the shift and F if they can.
-    """
-    P, D, dx = _assemble(A, Bl, Cl, L, N)
-    s = np.linspace(-L + dx, L - dx, N)
-    x = np.exp(-((s / (L / 4.0)) ** 2))  # deterministic start vector
-    lo, hi, factor = _certified_shift(P, D, x)
     Dx = _matvec(D, x)
     for _ in range(SHIFT_STEPS):
         norm = math.sqrt(x @ Dx)
@@ -194,13 +180,29 @@ def _solve_smallest(A, Bl, Cl, L, N):
         Dy = _matvec(D, y)
         theta = float(x @ Dy)
         converged = (y - theta * x) @ (Dy - theta * Dx) <= np.finfo(float).eps * theta**2
-        x, Dx = y, Dy
-        if converged:
-            break
-        lo, hi, factor = _bisect(P, D, lo, min(hi, lo + 1.0 / theta), factor)
-    else:
-        raise SolverError(f"inverse iteration did not converge in {SHIFT_STEPS} steps "
-                          f"(A={A}, Bl={Bl}, Cl={Cl}, L={L}, N={N})")
+        x, Dx, hi = y, Dy, min(hi, lo + 1.0 / theta)
+        if converged and hi - lo <= SHIFT_REL_GAP * abs(hi):
+            return lo, hi, factor, x, Dx
+        for fraction in (TRIAL_FRACTION, 0.5):  # a trial shift, then bisection
+            trial = hi - fraction * (hi - lo)
+            trial_factor = _factor(P, D, trial)
+            if trial_factor is not None:
+                lo, factor = trial, trial_factor
+                break
+            hi = trial
+    raise SolverError(f"inverse iteration did not converge in {SHIFT_STEPS} steps")
+
+
+def _solve_smallest(A, Bl, Cl, L, N):
+    """Smallest generalized eigenpair of (T^t T) v = mu D v, its residual."""
+    P, D, dx = _assemble(A, Bl, Cl, L, N)
+    s = np.linspace(-L + dx, L - dx, N)
+    x = np.exp(-((s / (L / 4.0)) ** 2))  # deterministic start vector
+    where = f"(A={A}, Bl={Bl}, Cl={Cl}, L={L}, N={N})"
+    try:
+        x, Dx = _bottom_pair(P, D, _symbol_floor(A, Bl, Cl), x)[3:]
+    except SolverError as exc:
+        raise SolverError(f"{exc} {where}") from None
     Px = _matvec(P, x)
     mu = float(x @ Px) / float(x @ Dx)
     res_vec = Px - mu * Dx
@@ -210,10 +212,8 @@ def _solve_smallest(A, Bl, Cl, L, N):
     scale = op_scale * float(np.linalg.norm(x))
     residual = float(np.linalg.norm(res_vec) / scale) if scale > 0 else 0.0
     if residual > RESIDUAL_TOL:
-        raise SolverError(
-            f"eigensolver residual {residual:.3e} above tolerance {RESIDUAL_TOL:.1e} "
-            f"(A={A}, Bl={Bl}, Cl={Cl}, L={L}, N={N})"
-        )
+        raise SolverError(f"eigensolver residual {residual:.3e} above tolerance "
+                          f"{RESIDUAL_TOL:.1e} {where}")
     if mu < -1e-10:
         raise SolverError(f"negative minimum {mu:.3e} from a PSD numerator; solver breakdown")
     return max(mu, 0.0), x / math.sqrt(x @ Dx), s, residual

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -91,9 +92,18 @@ class XTestFunction:
         )
 
 
+@cache
+def _gauss_rule(nodes):
+    """Gauss-Legendre nodes and weights on [-1, 1], built on first use and
+    read-only, since every call shares them."""
+    x, w = leggauss(nodes)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _log_gauss(fn, r_lo, r_hi, panels, nodes=GL_NODES):
     """integral fn(r) dr over [r_lo, r_hi] via Gauss-Legendre in t = log r."""
-    x, w = leggauss(nodes)
+    x, w = _gauss_rule(nodes)
     a, b = math.log(r_lo), math.log(r_hi)
     edges = np.linspace(a, b, panels + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])

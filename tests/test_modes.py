@@ -24,7 +24,7 @@ from rellich_cone import (
     scaled_family_value,
     window_bound_check,
 )
-from rellich_cone.modes import SHIFT_REL_GAP, _assemble, _certified_shift, _solve_smallest
+from rellich_cone.modes import SHIFT_REL_GAP, _assemble, _bottom_pair, _solve_smallest
 from rellich_cone import modes
 
 # unit-test resolution: coarser than the verification default but sharp
@@ -44,6 +44,18 @@ def _dense(band):
 def _dense_minimum(A, Bl, Cl, L, N):
     P, D, _ = _assemble(A, Bl, Cl, L, N)
     return eigh(_dense(P), _dense(D), eigvals_only=True, subset_by_index=[0, 0])[0]
+
+
+def _count_calls(monkeypatch, name):
+    """List that gets one entry per call of the LAPACK routine ``name`` in modes."""
+    routine, calls = getattr(modes.lapack, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return routine(*args, **kwargs)
+
+    monkeypatch.setattr(modes.lapack, name, counted)
+    return calls
 
 
 def _refined_dense_minimum(A, Bl, Cl, L, N):
@@ -192,6 +204,30 @@ def test_stopping_rule_matches_dense_reference(A, Bl, Cl, L, N):
         _dense_minimum(A, Bl, Cl, L, N), rel=1e-7)
 
 
+@pytest.mark.parametrize("A,Bl,Cl,L,N", [
+    # mu_min = 4.0773633625604; accepting the converged pair before the
+    # bracket closes returns the second eigenvalue, 4.0884
+    (0.0, 1.0, 0.0, 10.0, 30),
+    # the two lowest eigenvalues are about 1e-8 relative apart, so the
+    # bracket must keep tightening after it has closed
+    (2.8948244959155245, 5.595405964390704, 0.0, 60.0, 205),
+    (4.880227545557641, -7.447798020314284, 0.0, 60.0, 306),
+])
+def test_closed_bracket_picks_bottom_of_cluster(A, Bl, Cl, L, N):
+    assert _solve_smallest(A, Bl, Cl, L, N)[0] == pytest.approx(
+        _refined_dense_minimum(A, Bl, Cl, L, N), rel=1e-10)
+
+
+@pytest.mark.parametrize("A,Bl,Cl,L,N,budget", [
+    (-2.0, 1.25, 2.25, 40.0, 3200, 10),   # drift case: starts at Bl^2 / Cl
+    (-1.0, 0.0, 0.0, 100.0, 4000, 20),    # critical radial mode: starts at A^2
+])
+def test_factorizations_per_solve(monkeypatch, A, Bl, Cl, L, N, budget):
+    calls = _count_calls(monkeypatch, "dpbtrf")
+    _solve_smallest(A, Bl, Cl, L, N)
+    assert len(calls) <= budget
+
+
 @settings(max_examples=60, deadline=None)
 @given(A=st.floats(-5, 5), Bl=st.floats(-10, 10),
        Cl=st.one_of(st.just(0.0), st.floats(0, 10)), L=st.floats(10, 100),
@@ -212,8 +248,9 @@ class TestCertifiedShift:
         L = 60.0
         P, D, _ = _assemble(A, Bl, Cl, L, N)
         reference = _dense_minimum(A, Bl, Cl, L, N)
-        # any start vector works: its Rayleigh quotient bounds mu_min above
-        lo, hi, factor = _certified_shift(P, D, np.ones(N))
+        # any start vector works: its Rayleigh quotient bounds mu_min above;
+        # lo starts at 0, as far below mu_min as any closed-form floor
+        lo, hi, factor, _, _ = _bottom_pair(P, D, 0.0, np.ones(N))
         assert lo < reference
         assert reference - lo <= SHIFT_REL_GAP * hi
         # the factor returned is the Cholesky factor at the lower end
@@ -228,7 +265,7 @@ class TestCertifiedShift:
         P, D = np.zeros((3, N)), np.zeros((3, N))
         P[0], P[1, :-1] = np.r_[1.0, np.full(N - 2, 2.0), 1.0], -1.0
         D[0] = 1.0
-        lo, hi, _ = _certified_shift(P, D, np.arange(N, dtype=float))
+        lo, hi = _bottom_pair(P, D, 0.0, np.arange(N, dtype=float))[:2]
         assert -1e-10 <= lo < 0.0
         assert lo < hi
 
@@ -237,20 +274,22 @@ class TestCertifiedShift:
         D = np.zeros((3, N))
         D[0] = 1.0
         with pytest.raises(SolverError, match="semidefinite"):
-            _certified_shift(-D, D, np.ones(N))
+            _bottom_pair(-D, D, 0.0, np.ones(N))
+
+    def test_floor_above_minimum_is_not_used(self):
+        # a floor candidate counts only where P - floor D factors
+        A, Bl, Cl, L, N = -2.0, 1.25, 2.25, 60.0, 200
+        P, D, _ = _assemble(A, Bl, Cl, L, N)
+        reference = _dense_minimum(A, Bl, Cl, L, N)
+        lo, hi = _bottom_pair(P, D, 2.0 * reference, np.ones(N))[:2]
+        assert lo < reference
+        assert reference - lo <= SHIFT_REL_GAP * hi
 
     def test_exhausted_step_budget_raises(self, monkeypatch):
-        # two bisection steps leave the shift far below mu_min, so two
-        # inverse-iteration steps cannot converge; no extra solve is made
-        solve = modes.lapack.dpbtrs
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return solve(*args, **kwargs)
-
+        # two steps from the drift floor cannot close the bracket to
+        # SHIFT_REL_GAP; no extra solve is made
         monkeypatch.setattr(modes, "SHIFT_STEPS", 2)
-        monkeypatch.setattr(modes.lapack, "dpbtrs", counted)
+        calls = _count_calls(monkeypatch, "dpbtrs")
         with pytest.raises(SolverError, match="did not converge in 2 steps"):
             _solve_smallest(-2.0, 1.25, 2.25, 60.0, 50)
         assert len(calls) == 2

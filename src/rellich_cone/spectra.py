@@ -3,10 +3,11 @@
 Supported domains Sigma inside the unit sphere S^(n-1):
 
 * the full sphere, with the exact spectrum {k(n-2+k) : k = 0, 1, ...};
-* geodesic caps of radius theta0 in (0, pi) for n >= 3, solved numerically
-  as a family of singular Sturm-Liouville problems (one per azimuthal
-  order m) with a second-order conservative finite-difference scheme and
-  Richardson extrapolation over one grid refinement;
+* geodesic caps of radius theta0 in (0, pi) for n >= 3: each azimuthal
+  order's eigenvalues are the roots of a Legendre function, evaluated by an
+  elementary ladder and polished to full precision; a finite-difference
+  Sturm count checks every root's index, and finite differences with
+  Richardson extrapolation are kept as the independent check;
 * arcs of length L in (0, 2*pi) for n = 2, with the exact interval
   spectrum {(k*pi/L)^2 : k = 1, 2, ...};
 * explicit user-supplied eigenvalue lists.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
@@ -232,23 +234,30 @@ def explicit_spectrum(values) -> Spectrum:
 
 
 # ---------------------------------------------------------------------------
-# geodesic caps: singular Sturm-Liouville problems per azimuthal order
+# geodesic caps: each azimuthal order's eigenvalues are the roots of a
+# Legendre ladder; a finite-difference Sturm count checks every root's index
 # ---------------------------------------------------------------------------
+
+# grid of the index check, trusted for an order's lowest CHECK_GRID // 32
+CHECK_GRID = 2048
+SCAN_STEP = 0.25  # in K; the roots of one order lie about 1 or more apart
+REFINEMENTS = 3  # halvings of the scan step before an index disagreement is reported
 
 
 def _cap_tridiagonal(n: int, theta0: float, m: int, grid: int):
-    """Symmetric tridiagonal (d, e) of the order-m problem on the cap, one grid.
+    """Symmetric tridiagonal (d, e) whose eigenvalues approximate order m's on the cap.
 
-    The problem on (0, theta0) with weight w = sin^(n-2):
-
-        -(w phi')'/w + m(m+n-3) sin^(-2) phi = lam phi,  phi(theta0) = 0,
-
-    regular at the pole.  Conservative second-order finite differences:
-    fluxes at cell edges, diagonal mass from cell integrals of w.  Pole
-    regularity is automatic for m = 0 (zero flux through theta = 0, pole
-    node included); for m >= 1 the potential enforces phi(0) = 0 and the
-    pole node is excluded.
+    The problem -(w phi')'/w + m(m+n-3) sin^(-2) phi = lam phi, w = sin^(n-2),
+    phi(theta0) = 0, regular at the pole, depends on n and m only through
+    nu = m + (n-3)/2 (Liouville form, see ``_ladder``): it is discretized as
+    order m + (n-n0)/2 with n0 = 3 or 4, whose weight cannot underflow, and
+    shifted by ((n0-2)^2 - (n-2)^2)/4.  Conservative second-order finite
+    differences: fluxes at cell edges, diagonal mass from cell integrals of
+    w.  For m = 0 the pole node is included with zero flux through it; for
+    m >= 1 the potential enforces phi(0) = 0 and the pole node is excluded.
     """
+    n0 = 4 - n % 2
+    n, m, shift = n0, m + (n - n0) // 2, ((n0 - 2) ** 2 - (n - 2) ** 2) / 4
     N = grid
     dx = theta0 / N
     nu = m * (m + n - 3)
@@ -279,150 +288,175 @@ def _cap_tridiagonal(n: int, theta0: float, m: int, grid: int):
         diag = diag + nu * np.sin(nodes) ** (n - 4) * dx
         mass = np.sin(nodes) ** (n - 2) * dx
     # symmetrize the generalized problem with the diagonal mass
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        inv_sqrt = 1.0 / np.sqrt(mass)
-        d = diag * inv_sqrt**2
-        e = lower * inv_sqrt[:-1] * inv_sqrt[1:]
-    if not (np.isfinite(d).all() and np.isfinite(e).all()):
-        raise ConvergenceError(
-            f"cap weight sin^(n-2) underflows in the cell masses at n={n} "
-            f"(order m={m}, grid {grid}); the pole cells cannot be resolved"
-        )
-    return d, e
+    inv_sqrt = 1.0 / np.sqrt(mass)
+    return diag * inv_sqrt**2 + shift, lower * inv_sqrt[:-1] * inv_sqrt[1:]
 
 
-def _cap_merged(n, theta0, count, grid):
-    """Merge per-m eigenvalues (one grid) into the lowest ``count`` overall.
+def _sturm_count(d, e, value) -> int:
+    """Eigenvalues of (d, e) below ``value``: a tolerance as wide as the range stops bisection."""
+    return eigh_tridiagonal(d, e, eigvals_only=True, select="v",
+                            select_range=(-1.0, value), tol=value + 1.0).size
 
-    Adds orders m = 0, 1, 2, ... until one has no eigenvalue at or below the
-    count-th merged value; the order-m bottom eigenvalue rises with m (m only
-    adds a potential), so no later order can contribute.  Returns the merged
-    values and the highest order solved.
+
+def _ladder(n: int, theta0: float, m: int, K):
+    """Order m's regular solution psi at theta0, up to a positive factor, for each K.
+
+    With phi = sin^(-(n-2)/2) psi order m reads -psi'' + (nu^2 - 1/4)/sin^2 psi
+    = K^2 psi, nu = m + (n-3)/2, so its roots in K are the eigenvalues
+    lam = K^2 - (n-2)^2/4.  The step
+    (psi, psi') <- (a cot psi - psi', (K^2 - a^2/sin^2) psi + a cot psi')
+    takes the regular solution at nu = a - 1/2 to the one at a + 1/2, with
+    leading term (K^2 - a^2)/(2a + 1) theta^(a+1) > 0 for K > a.  The climb
+    starts at nu = 1/2 from sin(K theta) (even n) or at nu = 0 from
+    sqrt(sin) P_(K-1/2)(cos) (odd n) (DLMF 14.5, 14.10).
     """
-    # bisect each eigenvalue to stebz's relative tolerance: the default
-    # absolute one, eps * |T|, grows like 1/dx^2
-    tol = np.finfo(float).tiny
-    merged = []
-    for m in itertools.count():
-        d, e = _cap_tridiagonal(n, theta0, m, grid)
-        if len(merged) < count:
-            select, bounds = "i", (0, min(count, d.size) - 1)
-        else:
-            select, bounds = "v", (-1.0, merged[-1])
-        vals = eigh_tridiagonal(d, e, eigvals_only=True, select=select,
-                                select_range=bounds, tol=tol)
-        if vals.size == 0:
-            return merged, m
-        merged = sorted(merged + vals.tolist())[:count]
+    s, c = math.sin(theta0), math.cos(theta0)
+    cot = c / s
+    if n % 2 == 0:
+        psi, dpsi, a = np.sin(K * theta0), K * np.cos(K * theta0), 1.0
+    else:
+        from scipy.special import lpmv
+
+        # d/dtheta P(cos theta) = P^1(cos theta): lpmv has the Condon-Shortley phase
+        psi = math.sqrt(s) * lpmv(0, K - 0.5, c)
+        dpsi = 0.5 * cot * psi + math.sqrt(s) * lpmv(1, K - 0.5, c)
+        a = 0.5
+    while a < m + (n - 3) / 2:
+        psi, dpsi = a * cot * psi - dpsi, (K * K - (a / s) ** 2) * psi + a * cot * dpsi
+        scale = np.hypot(psi, dpsi)
+        psi, dpsi = psi / scale, dpsi / scale
+        a += 1.0
+    return psi
 
 
-def _cap_near(n, theta0, value, grid):
-    """Each order's eigenvalues next to ``value``, on ``grid`` and ``2 * grid``.
+def _ladder_roots(f, start: float, step: float, top: float, limit: int):
+    """Ascending roots of ``f`` above ``start``, through the second at or above
+    ``top`` or past the first ``limit``: sign changes on start + step * j (or
+    an exact zero there) bracket them, and Illinois polishes all at once."""
+    # f > 0 at start, so a value <= 0 there puts a root within rounding of it
+    a, b, fa, fb = ([start], [start], [0.0], [0.0]) if f(np.array([start]))[0] <= 0 else (
+        [], [], [], [])
+    j = 0
+    while np.count_nonzero(np.asarray(a) >= top) < 2 and len(a) <= limit:
+        K = start + step * np.arange(j, j + 65)
+        fK = f(K)
+        zero = fK[1:] == 0
+        hit = np.flatnonzero(zero | (fK[:-1] * fK[1:] < 0))
+        left = np.where(zero[hit], hit + 1, hit)
+        a += list(K[left]); fa += list(fK[left]); b += list(K[hit + 1]); fb += list(fK[hit + 1])
+        j += 64
+    a, b, fa, fb = map(np.array, (a, b, fa, fb))
+    live = a != b
+    for _ in range(100):
+        i = np.flatnonzero(live)
+        if i.size == 0:
+            break
+        c = b[i] - fb[i] * (b[i] - a[i]) / (fb[i] - fa[i])
+        fc = f(c)
+        flip = fc * fb[i] < 0
+        a[i] = np.where(flip, b[i], a[i])
+        fa[i] = np.where(flip, fb[i], 0.5 * fa[i])
+        b[i], fb[i] = c, fc
+        live[i] = (fc != 0) & (np.abs(b[i] - a[i]) > 4 * np.finfo(float).eps * b[i])
+    return b
 
-    Yields (coarse, fine) for m = 0, 1, ... up to the first order with no
-    eigenvalue at or below ``value``.  With k the order's count at or below
-    ``value`` on ``grid``, both hold indices k-2 .. k+1, so that they pair
-    by eigenfunction: two on each side, because extrapolation can move one
-    eigenvalue across ``value``.
+
+def _cap_order(n: int, theta0: float, m: int, bound: float):
+    """Order m's eigenvalues below ``bound``, ascending, and its first at or above it.
+
+    Every root has K > m + (n-2)/2 (order m's bottom on the full sphere is
+    m(m+n-2)) and K^2 > the potential's minimum on (0, theta0); below the
+    latter the ladder loses every digit.  Index check: exactly i eigenvalues
+    of the finite-difference matrix lie below the midpoint of roots i, i + 1.
     """
-    tol = np.finfo(float).tiny
+    d, e = _cap_tridiagonal(n, theta0, m, CHECK_GRID)
+    k, nu = (n - 2) / 2, m + (n - 3) / 2
+    start = max(m + k, math.sqrt(max(nu * nu - 0.25, 0.0)) / math.sin(min(theta0, math.pi / 2)))
+    top, step, limit = math.sqrt(bound + k * k), SCAN_STEP, CHECK_GRID // 32
+    for _ in range(REFINEMENTS + 1):
+        roots = _ladder_roots(functools.partial(_ladder, n, theta0, m), start, step, top, limit)
+        keep = int(np.searchsorted(roots, top))
+        if keep + 2 > roots.size:
+            raise ConvergenceError(
+                f"cap eigenvalues did not converge: order {m} has more than {limit} "
+                f"below {bound:.6g}, beyond what the index check on grid {CHECK_GRID} resolves")
+        lam = (roots - k) * (roots + k)
+        if lam[0] <= 0:
+            raise ConvergenceError(
+                f"cap eigenvalues did not converge: lambda_min at n={n}, theta0={theta0} "
+                f"lies below the roots' resolution, about eps * (n-2)^2/4")
+        mids = (lam[: keep + 1] + lam[1 : keep + 2]) / 2
+        if [_sturm_count(d, e, mid) for mid in mids] == list(range(1, keep + 2)):
+            return lam[:keep].tolist(), float(lam[keep])
+        step /= 2
+    raise ConvergenceError(
+        f"cap eigenvalues did not converge: the indices of order {m}'s roots below "
+        f"{bound:.6g} disagree with the Sturm counts on grid {CHECK_GRID}")
+
+
+def _cap_split(n: int, theta0: float, bound: float):
+    """Every cap eigenvalue below ``bound`` (ascending), the smallest at or
+    above it, and the highest order solved: orders are added until one has
+    none below ``bound``, since an order's bottom rises with m."""
+    below, above = [], math.inf
     for m in itertools.count():
-        d, e = _cap_tridiagonal(n, theta0, m, grid)
-        # bisection to an absolute tolerance as wide as the range stops at
-        # once; the number of values returned is still the Sturm count
-        below = eigh_tridiagonal(d, e, eigvals_only=True, select="v",
-                                 select_range=(-1.0, value), tol=value).size
-        index = (max(below - 2, 0), min(below + 1, d.size - 1))
-        coarse = eigh_tridiagonal(d, e, eigvals_only=True, select="i",
-                                  select_range=index, tol=tol)
-        d, e = _cap_tridiagonal(n, theta0, m, 2 * grid)
-        fine = eigh_tridiagonal(d, e, eigvals_only=True, select="i",
-                                select_range=index, tol=tol)
-        yield coarse, fine
-        if below == 0:
-            return
+        values, first_above = _cap_order(n, theta0, m, bound)
+        below += values
+        above = min(above, first_above)
+        if not values:
+            return sorted(below), above, m
 
 
-def cap_spectrum(
-    n: int,
-    theta0: float,
-    count: int = 8,
-    grid: int = 2048,
-    rtol: float = 1e-5,
-) -> Spectrum:
+def _cap_fd(n: int, theta0: float, count: int, grid: int):
+    """Lowest ``count`` cap eigenvalues by finite differences, as (value, error):
+    a, b of the same order and index on ``grid`` and ``2 * grid`` give (4b - a)/3
+    (the scheme is second order) and |b - a|/3, the error estimate of b."""
+    found = []
+    for m in itertools.count():
+        grids = [_cap_tridiagonal(n, theta0, m, g) for g in (grid, 2 * grid)]
+        # once full, an order needs its values below the count-th and one more
+        last = count - 1 if len(found) < count else min(
+            count - 1, _sturm_count(*grids[0], found[-1][0]))
+        coarse, fine = (eigh_tridiagonal(*matrix, eigvals_only=True, select="i",
+                                         select_range=(0, last), tol=np.finfo(float).tiny)
+                        for matrix in grids)
+        order = [((4 * b - a) / 3, abs(b - a) / 3) for a, b in zip(coarse, fine)]
+        if len(found) == count and order[0][0] >= found[-1][0]:
+            return found
+        found = sorted(found + order)[:count]
+
+
+def cap_spectrum(n: int, theta0: float, count: int = 8) -> Spectrum:
     """Lowest Dirichlet eigenvalues of the geodesic cap of radius theta0.
 
-    Solves the per-order Sturm-Liouville problems on a uniform grid and on
-    one refinement (2 * grid), pairs the sorted eigenvalues, and returns the
-    Richardson extrapolation (the scheme is second order, so the paired
-    combination (4 b - a)/3 removes the leading error term).  If the two
-    grids disagree by more than ``rtol`` relative, the computation is
-    reported as non-convergent rather than silently accepted.
-
-    Azimuthal orders are not cut off; ``resolution_meta["m_max"]`` is the
-    highest order solved on either grid.
-
-    The spectrum's ``neighbours`` solves, in every order, only the
-    eigenvalues next to the value asked for, extrapolated and checked
-    against ``rtol`` the same way: its cost grows with the number of orders
-    below the value, not with the number of eigenvalues.
+    Each azimuthal order's eigenvalues are index-checked roots of a Legendre
+    ladder (``_cap_order``), or :class:`ConvergenceError`.  The ``count``
+    lowest come from all orders below a bound that doubles until it holds
+    them; ``neighbours`` solves each order up to its first root past the
+    value.  ``resolution_meta``: ``method`` and ``m_max``, the highest
+    azimuthal order solved (orders are not cut off).
     """
     if n < 3:
         raise ValueError(f"cap spectra need n >= 3, got {n}")
-    if grid < 64:
-        raise ValueError(f"grid must be >= 64, got {grid}")
     if count < 1:
         raise ValueError("count must be >= 1")
     domain = DomainSpec.cap(theta0)
 
-    def check(rel):
-        if rel > rtol:
-            raise ConvergenceError(
-                f"cap eigenvalues did not converge: grids {grid}/{2*grid} "
-                f"disagree by {rel:.3e} relative (tolerance {rtol:.1e})"
-            )
-        return rel
+    def solve(c, bound=0.0):
+        below, above, m_max = _cap_split(n, theta0, bound)
+        return (below[:c], m_max) if len(below) >= c else solve(c, 2.0 * above)
 
-    def solve(c):
-        coarse, m_coarse = _cap_merged(n, theta0, c, grid)
-        fine, m_fine = _cap_merged(n, theta0, c, 2 * grid)
-        rel = check(max(
-            abs(b - a) / max(abs(b), 1e-300) for a, b in zip(coarse, fine)
-        ))
-        # near-degenerate pairs can land out of order after extrapolation
-        extrapolated = sorted((4.0 * b - a) / 3.0 for a, b in zip(coarse, fine))
-        return extrapolated, rel, max(m_coarse, m_fine)
-
-    values, rel, highest_m = solve(count)
-    meta = {
-        "grid": grid,
-        "refined_grid": 2 * grid,
-        "max_rel_change": rel,
-        "value": "richardson(h, h/2)",
-        "m_max": highest_m,
-    }
-
-    def provider(c):
-        return solve(c)[0]
+    values, m_max = solve(count)
 
     # classify asks at -gamma and at the mode threshold, often the same value
     @functools.lru_cache(maxsize=None)
     def neighbours(value):
-        # every value solved at or below the upper neighbour must pass rtol;
-        # those below ``value`` are checked at once, so hopeless values fail
-        # in the first order
-        near = []
-        for coarse, fine in _cap_near(n, theta0, float(value), grid):
-            for a, b in zip(coarse, fine):
-                near.append(((4.0 * b - a) / 3.0, abs(b - a) / abs(b)))
-                if near[-1][0] < value:
-                    check(near[-1][1])
-        above, rel = min(pair for pair in near if pair[0] >= value)
-        check(rel)
-        return max(v for v, _ in near if v < value), above
+        below, above, _ = _cap_split(n, theta0, float(value))
+        return below[-1], above
 
-    return Spectrum(eigenvalues=values, domain=domain, resolution_meta=meta,
-                    provider=provider, neighbours=neighbours)
+    return Spectrum(eigenvalues=values, domain=domain,
+                    resolution_meta={"method": "legendre-ladder", "m_max": m_max},
+                    provider=lambda c: solve(c)[0], neighbours=neighbours)
 
 
 def spectrum_for(domain: DomainSpec, n: int, count: int = 16) -> Spectrum:

@@ -44,7 +44,7 @@ from .params import (
     radial_constant,
 )
 from .report import compute_scan_rows, scan_alphas
-from .spectra import arc_spectrum, cap_spectrum, full_sphere_spectrum
+from .spectra import _cap_fd, arc_spectrum, cap_spectrum, full_sphere_spectrum
 from .xspace import XTestFunction, radial_identity_check, symmetry_breaking_witness
 
 __all__ = ["CheckResult", "SUITE_NAMES", "run_suite", "suite_checks"]
@@ -377,8 +377,7 @@ def spectra_suite(cfg: Config) -> list[CheckResult]:
     out.append(_check("spectra/arc-exact-half", ok2, f"length pi/2: {arc2.eigenvalues}"))
     thetas = (np.pi / 4, np.pi / 2, 3 * np.pi / 4)
     for n in (3, 4):
-        vals = [cap_spectrum(n, t, count=1, grid=1024).lambda_min
-                for t in thetas]
+        vals = [cap_spectrum(n, t, count=1).lambda_min for t in thetas]
         ok = vals[0] > vals[1] > vals[2] > 0
         out.append(_check(
             f"spectra/cap-monotone-n{n}",
@@ -386,6 +385,13 @@ def spectra_suite(cfg: Config) -> list[CheckResult]:
             "lambda_min strictly decreasing in theta0: "
             + ", ".join(f"{v:.6f}" for v in vals),
         ))
+    # the ladder roots against a second discretization, within its estimate
+    cases = ((3, 1.0), (4, 2.5), (5, 0.7), (6, 2.0))
+    worst = max(abs(root - value) / error for n, theta0 in cases for root, (value, error)
+                in zip(cap_spectrum(n, theta0, count=4).eigenvalues, _cap_fd(n, theta0, 4, 512)))
+    out.append(_check("spectra/cap-fd-agreement", worst <= 1.0,
+                      f"4 lowest at (n, theta0) in {cases}: |root - FD| <= {worst:.1e} x "
+                      "the FD estimate |b - a|/3"))
     return out
 
 

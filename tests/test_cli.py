@@ -1,6 +1,7 @@
 """CLI: subcommands, output formats, determinism, exit codes, config."""
 
 import json
+import time
 
 import pytest
 
@@ -80,14 +81,27 @@ class TestConstant:
         data = json.loads(out)
         assert data["M"] == mode_value(derive(6, 31.607), data["attained_lambda"])
 
-    def test_cap_weight_underflow_exit_4(self, capsys):
-        # sin^(n-2) underflows in the pole cells: a valid input the solver
-        # cannot resolve, not invalid arguments
-        code, out, err = run_cli(capsys, "constant", "--n", "100", "--alpha=0.5",
+    def test_cap_high_dimension_resolved(self, capsys, cap_oracle):
+        # the weight sin^(n-2) underflows near the pole; the ladder never
+        # forms it
+        code, out, _ = run_cli(capsys, "constant", "--n", "100", "--alpha=0.5",
+                               "--domain", "cap:1.0", "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["attained_lambda"] == pytest.approx(
+            cap_oracle(100, 0, 1.0, 1620.6, 1620.7), rel=1e-13)
+        assert data["M"] == mode_value(derive(100, 0.5), data["attained_lambda"])
+
+    def test_cap_unresolvable_exit_4(self, capsys):
+        # the eigenvalues next to the mode threshold lie beyond what the
+        # index check resolves: a valid input, reported within a second
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "constant", "--n", "3", "--alpha=1e5",
                                  "--domain", "cap:1.0")
+        assert time.perf_counter() - start < 1.0
         assert code == 4
         assert out == ""
-        assert "underflows" in err
+        assert "did not converge" in err
 
     def test_bad_domain_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "constant", "--n", "3", "--alpha", "0",
@@ -124,6 +138,22 @@ class TestScan:
             assert regime == "Radial" and certified == "true"
             assert m == d_rad  # M column equals delta_rad column exactly
         assert lines[1].split(",")[2] == "6.25"  # M(5, 0) = n^2/4
+
+    def test_cap_rows_equal_constant(self, capsys):
+        # every row's spectrum query reaches well past the held eigenvalues
+        code, out, _ = run_cli(capsys, "scan", "--n", "6", "--alpha-from=30",
+                               "--alpha-to=32", "--step=1", "--domain", "cap:1.5054",
+                               "--format", "csv")
+        assert code == 0
+        rows = out.strip().split("\n")[1:]
+        assert len(rows) == 3
+        for row in rows:
+            alpha, _, m, _, regime, certified = row.split(",")
+            code, single, _ = run_cli(capsys, "constant", "--n", "6", f"--alpha={alpha}",
+                                      "--domain", "cap:1.5054", "--format", "csv")
+            assert code == 0
+            fields = dict(zip(*(line.split(",") for line in single.strip().split("\n"))))
+            assert (m, regime, certified) == (fields["M"], fields["regime"], fields["certified"])
 
     def test_byte_determinism(self, capsys):
         args = ("scan", "--n", "3", "--alpha-from", "-1", "--alpha-to", "2",
@@ -223,13 +253,17 @@ class TestSpectrumCommand:
         assert code == 0
         assert "0.5" in out and "2.5" in out
 
-    def test_unresolved_cap_exit_4(self, capsys):
-        # a thin complement: the two cap grids disagree beyond rtol
-        code, out, err = run_cli(capsys, "spectrum", "--n", "5", "--domain",
-                                 "cap:3.0", "--count", "8")
-        assert code == 4
-        assert out == ""
-        assert "did not converge" in err
+    def test_thin_complement_cap_resolved(self, capsys, cap_oracle):
+        # finite differences cannot resolve this cap; the ladder can
+        code, out, _ = run_cli(capsys, "spectrum", "--n", "5", "--domain",
+                               "cap:3.0", "--count", "8", "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        values = data["eigenvalues"]
+        assert len(values) == 8 and values == sorted(values)
+        assert values[0] == pytest.approx(cap_oracle(5, 0, 3.0, 0.02, 0.04), rel=1e-13)
+        assert data["resolution"]["method"] == "legendre-ladder"
+        assert data["resolution"]["m_max"] >= 2
 
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "--n", "3", "--domain",

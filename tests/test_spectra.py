@@ -1,5 +1,7 @@
 """Eigenvalue providers: full sphere, arcs, caps, explicit lists."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -17,9 +19,12 @@ from rellich_cone import (
     spectrum_for,
 )
 
+from rellich_cone.spectra import _cap_fd, _cap_order, _ladder_roots
+
 # frozen self-convergence oracle: Richardson extrapolation of the first cap
 # eigenvalue at grids (1024, 2048) for n = 3, theta0 = pi/3
 CAP3_PI3_FIRST = 4.9360418640
+
 
 
 class TestFullSphere:
@@ -89,16 +94,14 @@ class TestCap:
 
     def test_monotone_in_theta0(self):
         for n in (3, 4, 5):
-            vals = [cap_spectrum(n, t, count=1, grid=512).lambda_min
+            vals = [cap_spectrum(n, t, count=1).lambda_min
                     for t in (np.pi / 4, np.pi / 2, 3 * np.pi / 4)]
             assert vals[0] > vals[1] > vals[2] > 0
 
     def test_full_sphere_limit_trend(self):
-        # lambda_min decreases toward 0 as the cap swallows the sphere; the
-        # vanishing eigenvalue makes relative self-agreement coarser there
+        # lambda_min decreases toward 0 as the cap swallows the sphere
         thetas = np.linspace(np.pi / 2, 0.98 * np.pi, 5)
-        vals = [cap_spectrum(3, t, count=1, grid=1024, rtol=1e-3).lambda_min
-                for t in thetas]
+        vals = [cap_spectrum(3, t, count=1).lambda_min for t in thetas]
         assert all(b < a for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 0.2
 
@@ -108,10 +111,10 @@ class TestCap:
         assert spec.eigenvalues == sorted(spec.eigenvalues)
 
     def test_resolution_meta(self):
-        spec = cap_spectrum(3, np.pi / 2, count=2, grid=512)
-        meta = spec.resolution_meta
-        assert meta["grid"] == 512 and meta["refined_grid"] == 1024
-        assert meta["max_rel_change"] < 1e-5
+        meta = cap_spectrum(3, np.pi / 2, count=2).resolution_meta
+        assert meta["method"] == "legendre-ladder"
+        # the finite-difference check converges on its own grids
+        assert all(err < 1e-5 * v for v, err in _cap_fd(3, np.pi / 2, 2, 512))
         # m_max is the highest azimuthal order solved, not a cutoff
         few = cap_spectrum(3, np.pi / 2, count=4).resolution_meta["m_max"]
         many = cap_spectrum(3, np.pi / 2, count=40).resolution_meta["m_max"]
@@ -141,25 +144,77 @@ class TestCap:
         )
         nu = brentq(zonal, *bracket, xtol=1e-13)
         oracle = nu * (nu + n - 2)
-        fd = cap_spectrum(n, theta0, count=1).lambda_min
-        assert fd == pytest.approx(oracle, rel=1e-8)
+        root = cap_spectrum(n, theta0, count=1).lambda_min
+        assert root == pytest.approx(oracle, rel=1e-12)
 
     def test_s3_cap_closed_form(self):
-        # on S^3 the zonal problem reduces to a sine equation:
-        # lambda_min = (pi/theta0)^2 - 1
+        # on S^3 order 0 reduces to a sine equation: (j pi/theta0)^2 - 1
         for theta0 in (1.0, 1.5, 2.5):
-            fd = cap_spectrum(4, theta0, count=1).lambda_min
-            assert fd == pytest.approx((np.pi / theta0) ** 2 - 1, rel=1e-8)
+            bound = (6 * np.pi / theta0) ** 2 - 1.5
+            values, above = _cap_order(4, theta0, 0, bound)
+            exact = [(j * np.pi / theta0) ** 2 - 1 for j in range(1, 7)]
+            assert values + [above] == pytest.approx(exact, rel=1e-14)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_hemisphere_exact_clusters(self, n):
+        # as test_hemisphere_n3_exact_forty: k(k + n - 2) once per order m
+        # with k - m odd, so clusters of equal values from several orders
+        exact = sorted(k * (k + n - 2) for k in range(20) for m in range(k + 1)
+                       if (k - m) % 2 == 1)[:40]
+        spec = cap_spectrum(n, np.pi / 2, count=40)
+        assert spec.eigenvalues == pytest.approx(exact, rel=1e-14)
+
+    def test_hemisphere_n4_order_one(self):
+        values, above = _cap_order(4, np.pi / 2, 1, 40.0)
+        assert values + [above] == pytest.approx([8, 24, 48], rel=1e-14)
+
+    @pytest.mark.parametrize("n,theta0,m,lo,hi", [
+        (3, 3.14, 0, 0.0749, 0.0750),      # a thin complement FD cannot resolve
+        (200, 1.0, 0, 5617.2, 5617.3),     # the even ladder, 98 steps
+        (201, 1.0, 0, 5668.6, 5668.7),     # the odd ladder, 99 steps
+        (6, 2.8545, 3, 20.9, 21.1),        # K - 5 = 1.3e-5 from the scan start
+    ])
+    def test_hypergeometric_oracle(self, cap_oracle, n, theta0, m, lo, hi):
+        oracle = cap_oracle(n, m, theta0, lo, hi)
+        _, first = _cap_order(n, theta0, m, 0.0)
+        assert first == pytest.approx(oracle, rel=1e-11)
+
+    @pytest.mark.parametrize("n,theta0", [
+        (3, 0.4), (3, 2.2), (4, 1.3), (5, 0.7), (5, 2.6), (6, 1.9), (7, 1.0), (8, 2.4),
+        # order 3's lowest root lies 1.3e-5 above the scan start K = 5; a
+        # scan starting slightly above it loses eigenvalues
+        (6, 2.8545),
+    ])
+    def test_roots_within_fd_estimate(self, n, theta0):
+        # the second discretization: every root within |b - a|/3 of FD
+        roots = cap_spectrum(n, theta0, count=10).eigenvalues
+        fd = _cap_fd(n, theta0, 10, 512)
+        assert len(fd) == len(roots)
+        for root, (value, err) in zip(roots, fd):
+            assert abs(root - value) <= err
 
     def test_nonconvergence_reported(self):
-        with pytest.raises(ConvergenceError):
-            cap_spectrum(3, np.pi / 3, count=2, grid=64, rtol=1e-14)
+        # a coarse grid reports a large error estimate of its own, and the
+        # roots lie within it
+        coarse = _cap_fd(3, np.pi / 3, 2, 64)
+        assert all(err > 1e-5 * v for v, err in coarse)
+        roots = cap_spectrum(3, np.pi / 3, count=2).eigenvalues
+        assert all(abs(r - v) <= err for r, (v, err) in zip(roots, coarse))
+
+    def test_exact_zero_at_a_scan_point_is_one_root(self):
+        # hemisphere roots such as K = 3/2 at n = 3 land on scan points
+        f = lambda K: (K - 1.5) * (K - 2.25) * (K - 3.0) * (K - 3.5)
+        roots = _ladder_roots(f, 1.0, 0.25, 2.0, 64)
+        assert roots.tolist() == [1.5, 2.25, 3.0, 3.5]
+
+    def test_unresolvable_lambda_min_reported(self):
+        # at n = 200 the hole's lambda_min is far below eps * (n-2)^2/4
+        with pytest.raises(ConvergenceError, match="resolution"):
+            cap_spectrum(200, 2.5, count=1)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             cap_spectrum(2, np.pi / 2, count=1)
-        with pytest.raises(ValueError):
-            cap_spectrum(3, np.pi / 2, count=1, grid=32)
         with pytest.raises(ValueError):
             cap_spectrum(3, 0.0, count=1)
         with pytest.raises(ValueError):
@@ -172,7 +227,7 @@ class TestCap:
         exact = sorted(k * (k + 1) for k in range(20) for m in range(k + 1)
                        if (k - m) % 2 == 1)[:40]
         spec = cap_spectrum(3, np.pi / 2, count=40)
-        assert spec.eigenvalues == pytest.approx(exact, rel=1e-9)
+        assert spec.eigenvalues == pytest.approx(exact, rel=1e-14)
 
     @pytest.mark.parametrize("n,theta0", [(3, 1.0), (5, 0.7), (6, 2.5)])
     def test_count_independent(self, n, theta0):
@@ -186,18 +241,23 @@ class TestCap:
         (3, 1.0, 195.75), (5, 1.5084, 345.99), (6, 0.7, 400.0),
     ])
     def test_neighbours_match_enumeration(self, n, theta0, value):
-        # solving only each order's eigenvalues next to the value finds the
-        # same neighbours as enumerating every eigenvalue below it (rtol is
-        # off for the listing: its top entries are not meant to converge)
-        listed = cap_spectrum(n, theta0, count=128, rtol=1.0).eigenvalues
-        assert listed[-1] > value
-        below = max(v for v in listed if v < value)
-        above = min(v for v in listed if v >= value)
+        # solving each order only up to its first root past the value finds
+        # the neighbours that an independent finite-difference listing of
+        # every eigenvalue below it finds, within its error estimate
+        listed = _cap_fd(n, theta0, 128, 1024)
+        assert listed[-1][0] > value
+        below = max(pair for pair in listed if pair[0] < value)
+        above = min(pair for pair in listed if pair[0] >= value)
         spec = cap_spectrum(n, theta0, count=4)
         assert spec.eigenvalues[-1] < value
         lam_min, *near = spec.around(value)
         assert lam_min == spec.lambda_min
-        assert near == pytest.approx([below, above], rel=1e-12)
+        for root, (fd, err) in zip(near, (below, above)):
+            assert abs(root - fd) <= err
+        # and exactly the values the enumeration lists
+        listed = cap_spectrum(n, theta0, count=128).eigenvalues
+        assert near == [max(v for v in listed if v < value),
+                        min(v for v in listed if v >= value)]
 
     def test_around_answers_from_held_entries(self):
         spec = cap_spectrum(4, 1.0, count=16)
@@ -215,8 +275,10 @@ class TestCap:
 
         spec = cap_spectrum(3, 1.0, count=4)
         monkeypatch.setattr(spectra, "_cap_tridiagonal", recording)
+        start = time.perf_counter()
         with pytest.raises(ConvergenceError, match="did not converge"):
             spec.around(1e9)
+        assert time.perf_counter() - start < 1.0
         assert set(orders) == {0}
 
 

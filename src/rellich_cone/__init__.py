@@ -12,141 +12,50 @@ the change of variables to the cylinder in :mod:`rellich_cone.cylinder`;
 discrete per-mode minimization in :mod:`rellich_cone.modes`; direct
 x-space quadrature verification in :mod:`rellich_cone.xspace`; and the
 command-line interface in :mod:`rellich_cone.cli`.
+
+The public names below are imported from their modules on first access
+(PEP 562), so importing the package loads neither numpy nor scipy.
 """
 
-from .config import Config, load_config, resolve_config
-from .corpus import CorpusEntry, load_corpus
-from .cylinder import (
-    CylinderFunction,
-    QuotientResult,
-    cylinder_quotient,
-    from_cylinder,
-    poincare_xi,
-    to_cylinder,
-    xspace_equivalence_check,
-)
-from .errors import (
-    ConvergenceError,
-    DegenerateModeError,
-    NoWitnessError,
-    RellichConeError,
-    SolverError,
-    SpectrumError,
-)
-from .modes import (
-    ModeMinimum,
-    ModeProblem,
-    decompose_and_bound,
-    drift_bound_check,
-    minimize_mode,
-    phi,
-    scaled_family_value,
-    window_bound_check,
-)
-from .params import (
-    ConstantReport,
-    EqualityCertificate,
-    Params,
-    Regime,
-    best_mode_constant,
-    breaking_threshold_bound,
-    classify,
-    critical_constant,
-    derive,
-    mode_value,
-    radial_constant,
-)
-from .profiles import (
-    LineBump,
-    RadialBump,
-    RadialLogBump,
-    SampledLineProfile,
-    ScaledLineBump,
-)
-from .spectra import (
-    DomainKind,
-    DomainSpec,
-    Spectrum,
-    arc_spectrum,
-    cap_spectrum,
-    explicit_spectrum,
-    full_sphere_spectrum,
-    lambda_min,
-    load_spectrum_file,
-    spectrum_for,
-)
-from .xspace import (
-    NoWitnessCertificate,
-    RadialIdentityResult,
-    WitnessResult,
-    XTestFunction,
-    radial_identity_check,
-    symmetry_breaking_witness,
-    weighted_integrals,
-    weighted_quotient,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Config",
-    "load_config",
-    "resolve_config",
-    "CorpusEntry",
-    "load_corpus",
-    "CylinderFunction",
-    "QuotientResult",
-    "cylinder_quotient",
-    "from_cylinder",
-    "poincare_xi",
-    "to_cylinder",
-    "xspace_equivalence_check",
-    "ConvergenceError",
-    "DegenerateModeError",
-    "NoWitnessError",
-    "RellichConeError",
-    "SolverError",
-    "SpectrumError",
-    "ModeMinimum",
-    "ModeProblem",
-    "decompose_and_bound",
-    "drift_bound_check",
-    "minimize_mode",
-    "phi",
-    "scaled_family_value",
-    "window_bound_check",
-    "ConstantReport",
-    "EqualityCertificate",
-    "Params",
-    "Regime",
-    "best_mode_constant",
-    "breaking_threshold_bound",
-    "classify",
-    "critical_constant",
-    "derive",
-    "mode_value",
-    "radial_constant",
-    "LineBump",
-    "RadialBump",
-    "RadialLogBump",
-    "SampledLineProfile",
-    "ScaledLineBump",
-    "DomainKind",
-    "DomainSpec",
-    "Spectrum",
-    "arc_spectrum",
-    "cap_spectrum",
-    "explicit_spectrum",
-    "full_sphere_spectrum",
-    "lambda_min",
-    "load_spectrum_file",
-    "spectrum_for",
-    "NoWitnessCertificate",
-    "RadialIdentityResult",
-    "WitnessResult",
-    "XTestFunction",
-    "radial_identity_check",
-    "symmetry_breaking_witness",
-    "weighted_integrals",
-    "weighted_quotient",
-]
+_EXPORTS = {
+    "config": ("Config", "load_config", "resolve_config"),
+    "corpus": ("CorpusEntry", "load_corpus"),
+    "cylinder": ("CylinderFunction", "QuotientResult", "cylinder_quotient", "from_cylinder",
+                 "poincare_xi", "to_cylinder", "xspace_equivalence_check"),
+    "errors": ("ConvergenceError", "DegenerateModeError", "NoWitnessError",
+               "RellichConeError", "SolverError", "SpectrumError"),
+    "modes": ("ModeMinimum", "ModeProblem", "decompose_and_bound", "drift_bound_check",
+              "minimize_mode", "phi", "scaled_family_value", "window_bound_check"),
+    "params": ("ConstantReport", "EqualityCertificate", "Params", "Regime",
+               "best_mode_constant", "breaking_threshold_bound", "classify",
+               "critical_constant", "derive", "mode_value", "radial_constant"),
+    "profiles": ("LineBump", "RadialBump", "RadialLogBump", "SampledLineProfile",
+                 "ScaledLineBump"),
+    "spectra": ("DomainKind", "DomainSpec", "Spectrum", "arc_spectrum", "cap_spectrum",
+                "explicit_spectrum", "full_sphere_spectrum", "lambda_min",
+                "load_spectrum_file", "spectrum_for"),
+    "xspace": ("NoWitnessCertificate", "RadialIdentityResult", "WitnessResult",
+               "XTestFunction", "radial_identity_check", "symmetry_breaking_witness",
+               "weighted_integrals", "weighted_quotient"),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

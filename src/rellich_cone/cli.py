@@ -15,6 +15,10 @@ Domains are given as ``sphere``, ``cap:THETA0``, ``arc:LENGTH``, or
 1 verification failure, 2 invalid arguments, 3 degenerate-case routing
 failure, 4 numerical-resolution failure (a discretization that did not
 converge or an eigensolver breakdown).
+
+``verify`` and ``transform-check`` import their modules when they run, so
+the other subcommands load numpy and scipy only for cap domains and
+``scan --with-numeric``.
 """
 
 from __future__ import annotations
@@ -23,9 +27,7 @@ import argparse
 import json
 import sys
 
-from .config import ENV_CONFIG, resolve_config
-from .corpus import load_corpus
-from .cylinder import xspace_equivalence_check
+from .config import ENV_CONFIG, VERIFY_SUITES, resolve_config
 from .errors import ConvergenceError, DegenerateModeError, RellichConeError, SolverError
 from .params import classify, derive
 from .report import (
@@ -41,7 +43,6 @@ from .report import (
     scan_rows_to_table,
 )
 from .spectra import DomainSpec, load_spectrum_file, spectrum_for
-from .verify import SUITE_NAMES, run_suite
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -114,6 +115,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    if args.count < 1:
+        raise ValueError("count must be >= 1")
     cfg = resolve_config(args.config)
     spectrum = _spectrum_from_args(args, cfg, count=args.count)
     values = spectrum.eigenvalues[: args.count]
@@ -131,12 +134,17 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_suite
+
     cfg = resolve_config(args.config)
     failures = run_suite(args.suite, cfg)
     return EXIT_OK if failures == 0 else EXIT_FAIL
 
 
 def cmd_transform_check(args) -> int:
+    from .corpus import load_corpus
+    from .cylinder import xspace_equivalence_check
+
     cfg = resolve_config(args.config)
     entries = load_corpus(args.corpus)
     worst = 0.0
@@ -199,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.set_defaults(fn=cmd_spectrum)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", choices=SUITE_NAMES)
+    p_verify.add_argument("suite", choices=VERIFY_SUITES + ("all",))
     p_verify.set_defaults(fn=cmd_verify)
 
     p_tc = sub.add_parser("transform-check",

@@ -14,12 +14,16 @@ variable when set.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields, replace
 
-__all__ = ["Config", "load_config", "resolve_config", "ENV_CONFIG"]
+__all__ = ["Config", "load_config", "resolve_config", "ENV_CONFIG", "VERIFY_SUITES"]
 
 ENV_CONFIG = "RELLICH_CONE_CONFIG"
+
+#: verification suites in run order; ``verify.SUITES`` maps each to its checks
+VERIFY_SUITES = ("constants", "lemmas", "equivalence", "radial", "witnesses", "spectra")
 
 
 @dataclass(frozen=True)
@@ -45,6 +49,19 @@ class Config:
     step: float = 0.025
     bound_tol: float = 1e-3
     equivalence_tol: float = 1e-6
+
+    def __post_init__(self):
+        for name in ("mode_N", "scan_N"):
+            if not getattr(self, name) >= 3:
+                raise ValueError(f"config {name} must be >= 3, got {getattr(self, name)}")
+        for name in ("mode_L", "scan_L", "step", "bound_tol", "equivalence_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"config {name} must be finite and > 0, got {value}")
+        if not self.k_max >= 0:
+            raise ValueError(f"config k_max must be >= 0, got {self.k_max}")
+        if not self.spectrum_count >= 1:
+            raise ValueError(f"config spectrum_count must be >= 1, got {self.spectrum_count}")
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(Config)}

@@ -10,10 +10,10 @@ emitted in alpha order, and identical inputs produce byte-identical text.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .config import Config
-from .modes import _solve_smallest
 from .params import ConstantReport, classify, derive, mode_threshold
 from .spectra import Spectrum
 
@@ -53,8 +53,10 @@ def fmt_float(x) -> str:
 
 def scan_alphas(alpha_from: float, alpha_to: float, step: float) -> list[float]:
     """The grid alpha_from + k * step up to alpha_to (inclusive, fuzz 1e-12)."""
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and positive, got {step}")
+    if not (math.isfinite(alpha_from) and math.isfinite(alpha_to)):
+        raise ValueError(f"alpha range must be finite, got [{alpha_from}, {alpha_to}]")
     alphas = []
     k = 0
     while True:
@@ -64,6 +66,14 @@ def scan_alphas(alpha_from: float, alpha_to: float, step: float) -> list[float]:
         alphas.append(a)
         k += 1
     return alphas
+
+
+def _solve_smallest(A, Bl, Cl, L, N):
+    """``modes._solve_smallest``, imported on the first numeric probe: the
+    mode solver needs numpy and scipy, which the exact rows never load."""
+    from .modes import _solve_smallest as solve
+
+    return solve(A, Bl, Cl, L, N)
 
 
 def _numeric_probe(p, spectrum: Spectrum, report: ConstantReport, cfg: Config) -> float:

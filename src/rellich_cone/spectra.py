@@ -26,9 +26,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
 
-import numpy as np
-from scipy.linalg import eigh_tridiagonal
-
 from .errors import ConvergenceError, SpectrumError
 
 __all__ = [
@@ -71,10 +68,10 @@ class DomainSpec:
 
     def __post_init__(self):
         if self.kind is DomainKind.CAP:
-            if self.theta0 is None or not 0 < self.theta0 < np.pi:
+            if self.theta0 is None or not 0 < self.theta0 < math.pi:
                 raise ValueError(f"cap angle must lie strictly in (0, pi), got {self.theta0}")
         elif self.kind is DomainKind.ARC:
-            if self.length is None or not 0 < self.length < 2 * np.pi:
+            if self.length is None or not 0 < self.length < 2 * math.pi:
                 raise ValueError(f"arc length must lie strictly in (0, 2*pi), got {self.length}")
         elif self.kind is DomainKind.EXPLICIT:
             if not self.values:
@@ -216,7 +213,7 @@ def arc_spectrum(length: float, count: int = 16) -> Spectrum:
         raise ValueError("count must be >= 1")
 
     def provider(c):
-        return [(k * np.pi / domain.length) ** 2 for k in range(1, c + 1)]
+        return [(k * math.pi / domain.length) ** 2 for k in range(1, c + 1)]
 
     return Spectrum(
         eigenvalues=provider(count),
@@ -235,7 +232,9 @@ def explicit_spectrum(values) -> Spectrum:
 
 # ---------------------------------------------------------------------------
 # geodesic caps: each azimuthal order's eigenvalues are the roots of a
-# Legendre ladder; a finite-difference Sturm count checks every root's index
+# Legendre ladder; a finite-difference Sturm count checks every root's index.
+# numpy and scipy are imported inside these functions, so that the sphere,
+# arc and explicit spectra load neither.
 # ---------------------------------------------------------------------------
 
 # grid of the index check, trusted for an order's lowest CHECK_GRID // 32
@@ -256,6 +255,8 @@ def _cap_tridiagonal(n: int, theta0: float, m: int, grid: int):
     w.  For m = 0 the pole node is included with zero flux through it; for
     m >= 1 the potential enforces phi(0) = 0 and the pole node is excluded.
     """
+    import numpy as np
+
     n0 = 4 - n % 2
     n, m, shift = n0, m + (n - n0) // 2, ((n0 - 2) ** 2 - (n - 2) ** 2) / 4
     N = grid
@@ -294,6 +295,8 @@ def _cap_tridiagonal(n: int, theta0: float, m: int, grid: int):
 
 def _sturm_count(d, e, value) -> int:
     """Eigenvalues of (d, e) below ``value``: a tolerance as wide as the range stops bisection."""
+    from scipy.linalg import eigh_tridiagonal
+
     return eigh_tridiagonal(d, e, eigvals_only=True, select="v",
                             select_range=(-1.0, value), tol=value + 1.0).size
 
@@ -310,6 +313,8 @@ def _ladder(n: int, theta0: float, m: int, K):
     starts at nu = 1/2 from sin(K theta) (even n) or at nu = 0 from
     sqrt(sin) P_(K-1/2)(cos) (odd n) (DLMF 14.5, 14.10).
     """
+    import numpy as np
+
     s, c = math.sin(theta0), math.cos(theta0)
     cot = c / s
     if n % 2 == 0:
@@ -333,6 +338,8 @@ def _ladder_roots(f, start: float, step: float, top: float, limit: int):
     """Ascending roots of ``f`` above ``start``, through the second at or above
     ``top`` or past the first ``limit``: sign changes on start + step * j (or
     an exact zero there) bracket them, and Illinois polishes all at once."""
+    import numpy as np
+
     # f > 0 at start, so a value <= 0 there puts a root within rounding of it
     a, b, fa, fb = ([start], [start], [0.0], [0.0]) if f(np.array([start]))[0] <= 0 else (
         [], [], [], [])
@@ -369,6 +376,8 @@ def _cap_order(n: int, theta0: float, m: int, bound: float):
     latter the ladder loses every digit.  Index check: exactly i eigenvalues
     of the finite-difference matrix lie below the midpoint of roots i, i + 1.
     """
+    import numpy as np
+
     d, e = _cap_tridiagonal(n, theta0, m, CHECK_GRID)
     k, nu = (n - 2) / 2, m + (n - 3) / 2
     start = max(m + k, math.sqrt(max(nu * nu - 0.25, 0.0)) / math.sin(min(theta0, math.pi / 2)))
@@ -411,6 +420,9 @@ def _cap_fd(n: int, theta0: float, count: int, grid: int):
     """Lowest ``count`` cap eigenvalues by finite differences, as (value, error):
     a, b of the same order and index on ``grid`` and ``2 * grid`` give (4b - a)/3
     (the scheme is second order) and |b - a|/3, the error estimate of b."""
+    import numpy as np
+    from scipy.linalg import eigh_tridiagonal
+
     found = []
     for m in itertools.count():
         grids = [_cap_tridiagonal(n, theta0, m, g) for g in (grid, 2 * grid)]

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import Config
+from .config import VERIFY_SUITES, Config
 from .corpus import load_corpus
 from .cylinder import xspace_equivalence_check
 from .errors import NoWitnessError
@@ -400,14 +400,8 @@ def spectra_suite(cfg: Config) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-SUITES = {
-    "constants": constants_suite,
-    "lemmas": lemma_suite,
-    "equivalence": equivalence_suite,
-    "radial": radial_suite,
-    "witnesses": witness_suite,
-    "spectra": spectra_suite,
-}
+SUITES = dict(zip(VERIFY_SUITES, (constants_suite, lemma_suite, equivalence_suite,
+                                   radial_suite, witness_suite, spectra_suite), strict=True))
 
 SUITE_NAMES = tuple(SUITES) + ("all",)
 

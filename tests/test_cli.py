@@ -230,6 +230,26 @@ class TestScan:
                                "--alpha-to", "1", "--step", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("alpha_to, step", [("1", "nan"), ("inf", "1")])
+    def test_non_finite_sweep_exit_2(self, capsys, alpha_to, step):
+        # either one used to grow the alpha grid without end
+        code, out, err = run_cli(capsys, "scan", "--n", "3", "--alpha-from", "0",
+                                 "--alpha-to", alpha_to, "--step", step)
+        assert code == 2
+        assert out == "" and "finite" in err
+
+    @pytest.mark.parametrize("flag, value, key", [
+        ("--mode-n", "0", "scan_N"),
+        ("--mode-l", "0", "scan_L"),
+        ("--mode-l", "nan", "scan_L"),
+        ("--k-max", "-1", "k_max"),
+    ])
+    def test_bad_numeric_sweep_flag_exit_2(self, capsys, flag, value, key):
+        code, out, err = run_cli(capsys, "scan", "--n", "3", "--alpha-from=0",
+                                 "--alpha-to=0", "--step=1", "--with-numeric", flag, value)
+        assert code == 2
+        assert out == "" and key in err
+
 
 class TestSpectrumCommand:
     def test_sphere(self, capsys):
@@ -264,6 +284,17 @@ class TestSpectrumCommand:
         assert values[0] == pytest.approx(cap_oracle(5, 0, 3.0, 0.02, 0.04), rel=1e-13)
         assert data["resolution"]["method"] == "legendre-ladder"
         assert data["resolution"]["m_max"] >= 2
+
+    @pytest.mark.parametrize("domain", ["sphere", "file"])
+    def test_zero_count_exit_2(self, capsys, tmp_path, domain):
+        path = tmp_path / "spec.txt"
+        path.write_text("0.5\n2.5\n")
+        if domain == "file":
+            domain = f"file:{path}"
+        code, out, err = run_cli(capsys, "spectrum", "--n", "3", "--domain", domain,
+                                 "--count", "0")
+        assert code == 2
+        assert out == "" and "count must be >= 1" in err
 
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "--n", "3", "--domain",
@@ -304,6 +335,14 @@ class TestVerifyCommand:
         with pytest.raises(ValueError):
             suite_checks("bogus")
 
+    def test_cli_choices_come_from_the_registry(self):
+        import rellich_cone.verify as verify_mod
+        from rellich_cone.cli import build_parser
+
+        commands = next(a for a in build_parser()._actions if a.dest == "command")
+        suite = next(a for a in commands.choices["verify"]._actions if a.dest == "suite")
+        assert tuple(suite.choices) == tuple(verify_mod.SUITES) + ("all",)
+
 
 class TestTransformCheckCommand:
     def test_default_corpus(self, capsys):
@@ -338,6 +377,24 @@ class TestConfig:
         path.write_text("bogus = 1\n")
         with pytest.raises(ValueError):
             load_config(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("mode_N", 2), ("scan_N", 0), ("mode_L", 0.0), ("scan_L", float("inf")),
+        ("step", -0.1), ("bound_tol", float("nan")), ("equivalence_tol", 0.0),
+        ("k_max", -1), ("spectrum_count", 0),
+    ])
+    def test_out_of_range_value_rejected(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            Config(**{key: value})
+
+    def test_out_of_range_file_value_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("scan_N = 2\n")
+        code, out, err = run_cli(capsys, "--config", str(path), "scan", "--n", "3",
+                                 "--alpha-from", "0", "--alpha-to", "0", "--step", "1",
+                                 "--with-numeric")
+        assert code == 2
+        assert out == "" and "scan_N" in err
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "cfg.txt"

@@ -27,14 +27,16 @@ produce spurious zero modes when Bl < 0).  The numerator matrix T^t T is
 pentadiagonal and positive semidefinite by construction, the denominator
 D tridiagonal and positive definite; both live in LAPACK band storage.
 
-Banded Cholesky of T^t T - sigma D succeeds iff sigma < mu_min (inertia), so
-a shift that factors is certified.  The first one tried is the infimum of the
-discrete symbol where |A| dx <= 2: Bl^2/Cl in the drift case, A^2 for the
-critical radial mode.  Inverse iteration on the factor closes the bracket,
-each step trying shifts just below its top lo + 1/theta.  It stops on the
-residual of the inverted operator once the bracket is closed: an iterate
-can settle on the second eigenpair, and the backward error, relative to
-||T^t T|| ~ 16/dx^4, passes for small mu_min with mu up to a third too high.
+T^t T is exactly Toeplitz: it equals C + P2 (e_1 e_1^t + e_N e_N^t) with
+P2 = c_plus c_minus, and the DST-I basis diagonalizes C, by the symbol
+|sigma(theta_j)|^2 (free of the 16/dx^4 cancellation of the assembled
+entries), and D.  Centrosymmetry leaves one rank-one term per parity of j,
+so each parity's eigenvalues are the roots of a secular equation (Golub,
+SIAM Rev. 15, 1973); by interlacing the bottom one lies between the parity's
+two lowest poles when P2 > 0 and below the lowest when P2 < 0.  One banded
+Cholesky of T^t T - lo D certifies the smaller root: by inertia it factors
+iff lo < mu_min.  Inverse iteration on that factor builds the eigenvector,
+until its backward error relative to ||T^t T|| is well inside the gate.
 """
 
 from __future__ import annotations
@@ -65,14 +67,14 @@ __all__ = [
 #: relative eigenpair residual accepted from the solver
 RESIDUAL_TOL = 1e-10
 
-#: width of the bracket on mu_min, relative to its top, that counts as closed
-SHIFT_REL_GAP = 1e-7
+#: distance of the certified shift below mu_min, as a fraction of the smaller
+#: of mu_min and its gap to the next eigenvalue
+SHIFT_FRACTION = 1e-4
 
-#: hard cap on inverse-iteration steps
-SHIFT_STEPS = 64
+#: hard cap on Newton steps per secular root and on inverse-iteration steps
+ITERATION_CAP = 64
 
-#: fraction of the bracket below its top where each step tries the next shift
-TRIAL_FRACTION = 1e-4
+EPS = float(np.finfo(float).eps)
 
 #: default tolerance for comparisons against the closed-form bound
 #: (dominated by domain truncation, not by the eigensolver)
@@ -148,69 +150,88 @@ def _matvec(band, x):
     return blas.dsbmv(2, 1.0, band, x, lower=1)
 
 
-def _factor(P, D, sigma):
-    """Cholesky factor of P - sigma D, or None; it exists iff sigma < mu_min."""
-    factor, info = lapack.dpbtrf(P - sigma * D, lower=1, overwrite_ab=1)
-    return factor if info == 0 else None
+def _certified_factor(P, D, shift):
+    """(lo, Cholesky factor of P - lo D) for the largest of shift, 0 and -1e-10
+    at which it exists; by inertia it exists iff lo < mu_min."""
+    for lo in sorted({shift, 0.0, -1e-10}, reverse=True):
+        factor, info = lapack.dpbtrf(P - lo * D, lower=1, overwrite_ab=1)
+        if info == 0:
+            return lo, factor
+    raise SolverError("numerator matrix is not numerically semidefinite")
 
 
-def _symbol_floor(A, Bl, Cl):
-    """The closed-form floor of mu_min named in the module docstring, else 0."""
-    drift = Cl > 0 and A * A + 2 * Bl > Bl * Bl / Cl
-    return Bl * Bl / Cl if drift else A * A if Bl == Cl == 0 else 0.0
+def _poles(A, Bl, Cl, N, dx):
+    """Poles p_j / d_j and weights z_j^2 / d_j of the secular equations, j = 1..N."""
+    theta = np.arange(1, N + 1) * (math.pi / (N + 1))
+    u = np.sin(0.5 * theta) ** 2 * (4.0 / dx**2)  # q_j / dx^2
+    sin2 = np.sin(theta) ** 2
+    d = u + Cl
+    return ((u + Bl) ** 2 + sin2 * (A / dx) ** 2) / d, sin2 * (4.0 / (N + 1)) / d
 
 
-def _bottom_pair(P, D, floor, x):
-    """Closed bracket (lo, hi) of mu_min, the factor at lo, the iterate and D x.
+def _secular_root(lam, w, P2):
+    """Bottom root of 1 + P2 sum_j w_j / (lam_j - mu) and a floor of the next one.
 
-    lo starts at the first of floor, 0 and -1e-10 that factors; the gap is
-    relative to |hi|, so a numerator singular to rounding closes below 0."""
-    hi = float(x @ _matvec(P, x)) / float(x @ _matvec(D, x))
-    for lo in sorted({floor, 0.0, -1e-10}, reverse=True):
-        factor = _factor(P, D, lo)
-        if factor is not None:
-            break
-    else:
-        raise SolverError("numerator matrix is not numerically semidefinite")
-    Dx = _matvec(D, x)
-    for _ in range(SHIFT_STEPS):
-        norm = math.sqrt(x @ Dx)
-        x, Dx = x / norm, Dx / norm
-        y = lapack.dpbtrs(factor, Dx, lower=1)[0]
-        Dy = _matvec(D, y)
-        theta = float(x @ Dy)
-        converged = (y - theta * x) @ (Dy - theta * Dx) <= np.finfo(float).eps * theta**2
-        x, Dx, hi = y, Dy, min(hi, lo + 1.0 / theta)
-        if converged and hi - lo <= SHIFT_REL_GAP * abs(hi):
-            return lo, hi, factor, x, Dx
-        for fraction in (TRIAL_FRACTION, 0.5):  # a trial shift, then bisection
-            trial = hi - fraction * (hi - lo)
-            trial_factor = _factor(P, D, trial)
-            if trial_factor is not None:
-                lo, factor = trial, trial_factor
-                break
-            hi = trial
-    raise SolverError(f"inverse iteration did not converge in {SHIFT_STEPS} steps")
+    Near the lowest pole mu = lam_1 + sign(P2) x, where x > 0 solves the convex
+    K(x) = x (1/|P2| + sign(P2) sum_{j>1} w_j / (lam_j - mu)) - w_1 = 0.  K(0) < 0,
+    and K > 0 near the second pole (P2 > 0) or past |P2| sum_j w_j (P2 < 0):
+    Newton runs inside that bracket, bisecting when a step leaves it.
+    """
+    k = int(np.argmin(lam))
+    lam1, w1 = float(lam[k]), float(w[k])
+    delta, rest = np.delete(lam, k) - lam1, np.delete(w, k)
+    lam2 = lam1 + float(delta.min()) if delta.size else math.inf
+    if P2 == 0 or P2 > 0 and lam2 == lam1:  # the bottom root is the lowest pole
+        return lam1, lam2
+    sign = 1.0 if P2 > 0 else -1.0
+    lo, hi = 0.0, lam2 - lam1 if P2 > 0 else abs(P2) * float(w.sum())
+    x = 0.0 if P2 > 0 else hi
+    for _ in range(ITERATION_CAP):
+        r = rest / (delta - sign * x)
+        s = 1.0 / abs(P2) + sign * float(r.sum())
+        value = x * s - w1
+        if value < 0:
+            lo = x
+        else:
+            hi = x
+        new = x - value / (s + x * float((r / (delta - sign * x)).sum()))
+        if not lo <= new <= hi:
+            new = 0.5 * (lo + hi)
+        if abs(new - x) <= 4 * EPS * max(abs(lam1 + sign * new), new):  # a few ulps
+            return lam1 + sign * new, lam2 if P2 > 0 else lam1
+        x = new
+    raise SolverError(f"secular equation did not converge in {ITERATION_CAP} steps")
 
 
 def _solve_smallest(A, Bl, Cl, L, N):
     """Smallest generalized eigenpair of (T^t T) v = mu D v, its residual."""
     P, D, dx = _assemble(A, Bl, Cl, L, N)
+    lam, w = _poles(A, Bl, Cl, N, dx)
     s = np.linspace(-L + dx, L - dx, N)
-    x = np.exp(-((s / (L / 4.0)) ** 2))  # deterministic start vector
+    ones = np.ones(N)
+    norm_P = float(_matvec(abs(P), ones).max())
     where = f"(A={A}, Bl={Bl}, Cl={Cl}, L={L}, N={N})"
     try:
-        x, Dx = _bottom_pair(P, D, _symbol_floor(A, Bl, Cl), x)[3:]
+        (mu, above, antisymmetric), (other, _, _) = sorted(
+            (*_secular_root(lam[j::2], w[j::2], float(P[2, 0])), j) for j in (0, 1))
+        gap = min(other, above) - mu
+        # a deterministic start vector of the bottom eigenvector's parity
+        x = np.exp(-((s / (L / 4.0)) ** 2)) * (s if antisymmetric else 1.0)
+        # rounding the assembled P moves mu_min by up to about eps ||P|| / lambda_min(D)
+        rounding = 8 * EPS * norm_P / (Cl + (2 * math.sin(0.5 * math.pi / (N + 1)) / dx) ** 2)
+        factor = _certified_factor(P, D, mu - max(SHIFT_FRACTION * min(gap, mu), rounding))[1]
     except SolverError as exc:
         raise SolverError(f"{exc} {where}") from None
-    Px = _matvec(P, x)
-    mu = float(x @ Px) / float(x @ Dx)
-    res_vec = Px - mu * Dx
     # backward-error normalization: residual relative to the operator scale
-    ones = np.ones(N)
-    op_scale = float(_matvec(abs(P), ones).max() + abs(mu) * _matvec(abs(D), ones).max())
-    scale = op_scale * float(np.linalg.norm(x))
-    residual = float(np.linalg.norm(res_vec) / scale) if scale > 0 else 0.0
+    op_scale = float(norm_P + abs(mu) * _matvec(abs(D), ones).max())
+    Dx = _matvec(D, x)
+    for _ in range(ITERATION_CAP):  # inverse iteration, to well inside the gate
+        x = lapack.dpbtrs(factor, Dx, lower=1)[0]
+        x /= np.linalg.norm(x)
+        Dx = _matvec(D, x)
+        residual = float(np.linalg.norm(_matvec(P, x) - mu * Dx)) / op_scale
+        if residual <= 1e-2 * RESIDUAL_TOL:
+            break
     if residual > RESIDUAL_TOL:
         raise SolverError(f"eigensolver residual {residual:.3e} above tolerance "
                           f"{RESIDUAL_TOL:.1e} {where}")

@@ -1,4 +1,5 @@
-"""Import hygiene: the exact paths load neither numpy nor scipy.
+"""Import hygiene: the exact paths load neither numpy nor scipy, and the
+mode solver loads neither scipy.optimize nor scipy.fft.
 
 Each case runs in a fresh interpreter, since ``sys.modules`` only grows.
 """
@@ -19,7 +20,7 @@ import json, sys
 from rellich_cone.cli import main
 code = main(sys.argv[1:])
 sys.stdout.flush()
-heavy = sorted({"numpy", "scipy"} & set(sys.modules))
+heavy = sorted({"numpy", "scipy", "scipy.fft", "scipy.optimize"} & set(sys.modules))
 sys.stderr.write("\\n" + json.dumps({"code": code, "heavy": heavy}) + "\\n")
 """
 
@@ -70,6 +71,20 @@ def test_cap_constant_still_solves():
                                "cap:1.5707963267948966", "--format", "json")
     assert code == 0
     assert json.loads(out)["attained_lambda"] == pytest.approx(2.0, rel=1e-12)
+    assert heavy == ["numpy", "scipy"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("scan", "--n", "3", "--alpha-from=0", "--alpha-to=1", "--step=1", "--with-numeric",
+     "--mode-l", "40", "--mode-n", "400"),
+    ("verify", "lemmas"),
+])
+def test_mode_solver_loads_no_root_finder_or_fft(argv):
+    # the secular roots are found by hand: scipy.optimize alone adds about
+    # 17 MB of resident memory, and an FFT-based sine transform is slow on
+    # prime lengths such as the scan's N + 1 = 4001
+    code, out, heavy = run_cli(*argv)
+    assert code == 0 and out
     assert heavy == ["numpy", "scipy"]
 
 

@@ -1,19 +1,22 @@
 """Discrete mode minimization, the two lower bounds, and decomposition."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh
 
 from rellich_cone import (
+    Config,
     CylinderFunction,
     LineBump,
     ModeProblem,
     SolverError,
     best_mode_constant,
+    classify,
     cylinder_quotient,
     decompose_and_bound,
     derive,
@@ -24,7 +27,8 @@ from rellich_cone import (
     scaled_family_value,
     window_bound_check,
 )
-from rellich_cone.modes import SHIFT_REL_GAP, _assemble, _bottom_pair, _solve_smallest
+from rellich_cone.modes import _assemble, _certified_factor, _solve_smallest
+from rellich_cone.report import compute_scan_rows
 from rellich_cone import modes
 
 # unit-test resolution: coarser than the verification default but sharp
@@ -58,18 +62,37 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-def _refined_dense_minimum(A, Bl, Cl, L, N):
-    """Extended-precision Rayleigh quotient of the dense ``eigh`` eigenvector.
+def _negative_count(A, Bl, Cl, L, N, sigma, dps=50):
+    """Eigenvalues of the exact pencil (T^t T, D) below sigma, by Sylvester inertia.
 
-    The eigenvalue dense ``eigh`` returns for a small minimum can be off by
-    O(eps ||P|| / mu) relative (8e-8 at A = 0, Bl = -10, Cl = 0, L = 100,
-    N = 400); the quotient of its eigenvector is off only by the square of
-    the vector's error once the rounding of ``x^T P x`` is taken out.
+    Counts the negative pivots of the LDL^t factorization of T^t T - sigma D,
+    built from the exact grid coefficients in ``dps``-digit arithmetic and
+    independent of the solver's secular equations and float bands.
     """
-    P, D = (_dense(band) for band in _assemble(A, Bl, Cl, L, N)[:2])
-    x = eigh(P, D, subset_by_index=[0, 0])[1][:, 0].astype(np.longdouble)
-    P, D = P.astype(np.longdouble), D.astype(np.longdouble)
-    return float((x @ P @ x) / (x @ D @ x))
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        A, Bl, Cl, L, sigma = (mp.mpf(v) for v in (A, Bl, Cl, L, sigma))
+        dx = 2 * L / (N + 1)
+        c_plus, c_mid, c_minus = 1 / dx**2 + A / (2 * dx), -2 / dx**2 - Bl, 1 / dx**2 - A / (2 * dx)
+        m0 = c_plus**2 + c_mid**2 + c_minus**2 - sigma * (2 / dx**2 + Cl)
+        m1 = c_plus * c_mid + c_mid * c_minus + sigma / dx**2
+        m2 = c_plus * c_minus
+        count, zero = 0, mp.mpf(0)
+        d1 = d2 = l_prev = zero  # pivots k-1 and k-2, and L[k-1, k-2]
+        for k in range(N):
+            l2 = m2 / d2 if k >= 2 else zero
+            l1 = (m1 - l2 * l_prev * d2) / d1 if k >= 1 else zero
+            d = m0 - l1 * l1 * d1 - l2 * l2 * d2
+            count += d < 0
+            d1, d2, l_prev = d, d1, l1
+        return count
+
+
+def _assert_exact_minimum(value, A, Bl, Cl, L, N, rel, dps=50):
+    """value is within rel of the exact pencil's smallest eigenvalue."""
+    assert _negative_count(A, Bl, Cl, L, N, value * (1 - rel), dps) == 0
+    assert _negative_count(A, Bl, Cl, L, N, value * (1 + rel), dps) >= 1
 
 
 class TestModeProblem:
@@ -205,36 +228,79 @@ def test_stopping_rule_matches_dense_reference(A, Bl, Cl, L, N):
 
 
 @pytest.mark.parametrize("A,Bl,Cl,L,N", [
-    # mu_min = 4.0773633625604; accepting the converged pair before the
-    # bracket closes returns the second eigenvalue, 4.0884
+    # mu_min = 4.0773633625604; an iterate that settles on the second
+    # eigenpair returns 4.0884
     (0.0, 1.0, 0.0, 10.0, 30),
     # the two lowest eigenvalues are about 1e-8 relative apart, so the
-    # bracket must keep tightening after it has closed
+    # vector's shift must sit far closer than that below mu_min
     (2.8948244959155245, 5.595405964390704, 0.0, 60.0, 205),
     (4.880227545557641, -7.447798020314284, 0.0, 60.0, 306),
 ])
 def test_closed_bracket_picks_bottom_of_cluster(A, Bl, Cl, L, N):
-    assert _solve_smallest(A, Bl, Cl, L, N)[0] == pytest.approx(
-        _refined_dense_minimum(A, Bl, Cl, L, N), rel=1e-10)
+    _assert_exact_minimum(_solve_smallest(A, Bl, Cl, L, N)[0], A, Bl, Cl, L, N, rel=1e-12)
 
 
-@pytest.mark.parametrize("A,Bl,Cl,L,N,budget", [
-    (-2.0, 1.25, 2.25, 40.0, 3200, 10),   # drift case: starts at Bl^2 / Cl
-    (-1.0, 0.0, 0.0, 100.0, 4000, 20),    # critical radial mode: starts at A^2
+@pytest.mark.parametrize("A,Bl,Cl,L,N", [
+    (-2.0, 1.25, 2.25, 40.0, 3200),    # drift case, as in the lemma suite
+    (-1.0, 0.0, 0.0, 100.0, 4000),     # critical radial mode
+    (0.0, -1.0, 1.0, 40.0, 3200),      # not drift: A^2 + 2 Bl < Bl^2 / Cl
+    (1.3, -7.5, 0.2, 40.0, 3200),      # not drift, strongly negative Bl
+    (0.0, 0.0, 0.0, 100.0, 8000),      # tiny minimum on the finest grid
 ])
-def test_factorizations_per_solve(monkeypatch, A, Bl, Cl, L, N, budget):
+def test_one_factorization_per_solve(monkeypatch, A, Bl, Cl, L, N):
     calls = _count_calls(monkeypatch, "dpbtrf")
-    _solve_smallest(A, Bl, Cl, L, N)
-    assert len(calls) <= budget
+    assert _solve_smallest(A, Bl, Cl, L, N)[0] > 0
+    assert len(calls) == 1
 
 
 @settings(max_examples=60, deadline=None)
 @given(A=st.floats(-5, 5), Bl=st.floats(-10, 10),
        Cl=st.one_of(st.just(0.0), st.floats(0, 10)), L=st.floats(10, 100),
        N=st.integers(3, 400))
-def test_matches_dense_reference_property(A, Bl, Cl, L, N):
-    assert _solve_smallest(A, Bl, Cl, L, N)[0] == pytest.approx(
-        _refined_dense_minimum(A, Bl, Cl, L, N), rel=1e-8)
+@example(A=0.0, Bl=0.0, Cl=0.0, L=10.0, N=387)  # the old eigh reference was 1.8e-8 high
+@example(A=-2.0, Bl=1.25, Cl=2.25, L=60.0, N=3)  # the even parity has a single pole
+@example(A=0.0, Bl=1.0, Cl=0.0, L=10.0, N=3)
+def test_matches_exact_reference_property(A, Bl, Cl, L, N):
+    _assert_exact_minimum(_solve_smallest(A, Bl, Cl, L, N)[0], A, Bl, Cl, L, N, rel=1e-12)
+
+
+def test_fine_grid_minimum_is_exact():
+    # P's entries (~16/dx^4) cancel in float: the Rayleigh quotient
+    # x^T P x / x^T D x on the assembled bands is percents off here
+    value = _solve_smallest(0.0, 0.0, 0.0, 100.0, 8000)[0]
+    _assert_exact_minimum(value, 0.0, 0.0, 0.0, 100.0, 8000, rel=1e-13, dps=60)
+    assert value == pytest.approx(9.867137263862e-4, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(A=st.floats(-5, 5), Bl=st.floats(-10, 10), Cl=st.floats(0, 10),
+       L=st.floats(10, 100), N=st.integers(3, 2000))
+def test_minimum_above_discrete_symbol_floor(A, Bl, Cl, L, N):
+    # where |A| dx <= 2 the corner coupling P2 = c_plus c_minus is >= 0, so
+    # mu_min lies above the smallest DST pole, the discrete symbol's floor;
+    # in the drift case that floor is Bl^2 / Cl, attained at zero frequency
+    dx = 2.0 * L / (N + 1)
+    assume(abs(A) * dx <= 2)
+    c_plus, c_mid, c_minus = 1 / dx**2 + A / (2 * dx), -2 / dx**2 - Bl, 1 / dx**2 - A / (2 * dx)
+    theta = np.arange(1, N + 1) * np.pi / (N + 1)
+    symbol = np.abs(c_minus * np.exp(-1j * theta) + c_mid + c_plus * np.exp(1j * theta)) ** 2
+    floor = float(np.min(symbol / (Cl + (2 - 2 * np.cos(theta)) / dx**2)))
+    assert _solve_smallest(A, Bl, Cl, L, N)[0] >= floor * (1 - 1e-9)
+    if Cl > 0 and A * A + 2 * Bl > Bl * Bl / Cl:
+        assert floor >= Bl * Bl / Cl * (1 - 1e-12)
+
+
+@pytest.mark.parametrize("n,alpha,lam", [(5, -0.5, 4), (5, -0.9, 4), (6, -1.5, 5)])
+def test_strip_gap_matches_prediction(n, alpha, lam):
+    # in the uncertified strip the scan's numeric probe still lies above M,
+    # by the predicted gap (phi(lambda) / Cl^2) (pi / 2L)^2 (1 + O(1/L))
+    p, spec = derive(n, alpha), full_sphere_spectrum(n)
+    row = next(compute_scan_rows(n, [alpha], spec, with_numeric=True))
+    assert not row.certified and classify(p, spec).attained_lambda == lam
+    Cl = float(p.C) + lam
+    predicted = float(phi(p, lam)) / Cl**2 * (math.pi / (2 * Config().scan_L)) ** 2
+    assert row.numeric_delta - row.M > 0
+    assert 1 <= (row.numeric_delta - row.M) / predicted <= 1.05
 
 
 class TestCertifiedShift:
@@ -248,51 +314,58 @@ class TestCertifiedShift:
         L = 60.0
         P, D, _ = _assemble(A, Bl, Cl, L, N)
         reference = _dense_minimum(A, Bl, Cl, L, N)
-        # any start vector works: its Rayleigh quotient bounds mu_min above;
-        # lo starts at 0, as far below mu_min as any closed-form floor
-        lo, hi, factor, _, _ = _bottom_pair(P, D, 0.0, np.ones(N))
-        assert lo < reference
-        assert reference - lo <= SHIFT_REL_GAP * hi
-        # the factor returned is the Cholesky factor at the lower end
+        mu = _solve_smallest(A, Bl, Cl, L, N)[0]
+        assert mu == pytest.approx(reference, rel=1e-10)
+        # a shift just below the secular root factors, and is certified below mu_min
+        lo, factor = _certified_factor(P, D, mu * (1 - 1e-6))
+        assert lo == mu * (1 - 1e-6) and lo < reference
         F = np.tril(_dense(factor))
         np.testing.assert_allclose(F @ F.T, _dense(P - lo * D), rtol=0,
                                    atol=1e-12 * np.abs(P).max())
+        # one just above it does not
+        assert _certified_factor(P, D, mu * (1 + 1e-6))[0] <= 0.0
 
     def test_singular_numerator_terminates_below_zero(self):
         # path-graph Laplacian: PSD with the constant vector as null vector,
-        # so Cholesky at 0 fails and the bracket can never close relatively
+        # so Cholesky at 0 fails and the certificate falls back to -1e-10
         N = 10
         P, D = np.zeros((3, N)), np.zeros((3, N))
         P[0], P[1, :-1] = np.r_[1.0, np.full(N - 2, 2.0), 1.0], -1.0
         D[0] = 1.0
-        lo, hi = _bottom_pair(P, D, 0.0, np.arange(N, dtype=float))[:2]
-        assert -1e-10 <= lo < 0.0
-        assert lo < hi
+        lo, factor = _certified_factor(P, D, 0.5)
+        assert lo == -1e-10
+        F = np.tril(_dense(factor))
+        np.testing.assert_allclose(F @ F.T, _dense(P - lo * D), atol=1e-12)
 
     def test_indefinite_numerator_raises(self):
         N = 10
         D = np.zeros((3, N))
         D[0] = 1.0
         with pytest.raises(SolverError, match="semidefinite"):
-            _bottom_pair(-D, D, 0.0, np.ones(N))
+            _certified_factor(-D, D, 0.0)
 
     def test_floor_above_minimum_is_not_used(self):
-        # a floor candidate counts only where P - floor D factors
+        # a shift counts only where P - shift D factors
         A, Bl, Cl, L, N = -2.0, 1.25, 2.25, 60.0, 200
         P, D, _ = _assemble(A, Bl, Cl, L, N)
         reference = _dense_minimum(A, Bl, Cl, L, N)
-        lo, hi = _bottom_pair(P, D, 2.0 * reference, np.ones(N))[:2]
-        assert lo < reference
-        assert reference - lo <= SHIFT_REL_GAP * hi
+        assert _certified_factor(P, D, 2.0 * reference)[0] == 0.0
 
     def test_exhausted_step_budget_raises(self, monkeypatch):
-        # two steps from the drift floor cannot close the bracket to
-        # SHIFT_REL_GAP; no extra solve is made
-        monkeypatch.setattr(modes, "SHIFT_STEPS", 2)
-        calls = _count_calls(monkeypatch, "dpbtrs")
-        with pytest.raises(SolverError, match="did not converge in 2 steps"):
+        # one Newton step cannot reach the secular root; nothing is factored
+        monkeypatch.setattr(modes, "ITERATION_CAP", 1)
+        factored = _count_calls(monkeypatch, "dpbtrf")
+        with pytest.raises(SolverError, match="secular equation did not converge in 1 steps"):
             _solve_smallest(-2.0, 1.25, 2.25, 60.0, 50)
-        assert len(calls) == 2
+        assert factored == []
+        # a backward error no vector reaches: inverse iteration stops at the
+        # cap, makes no extra solve, and the gate rejects the pair
+        monkeypatch.setattr(modes, "ITERATION_CAP", 16)
+        monkeypatch.setattr(modes, "RESIDUAL_TOL", 0.0)
+        solves = _count_calls(monkeypatch, "dpbtrs")
+        with pytest.raises(SolverError, match="residual .* above tolerance"):
+            _solve_smallest(-2.0, 1.25, 2.25, 60.0, 50)
+        assert len(factored) == 1 and len(solves) == 16
 
 
 class TestScaledFamily:

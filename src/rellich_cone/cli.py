@@ -71,16 +71,14 @@ def _parse_domain(text: str):
     )
 
 
-def _spectrum_from_args(args, cfg, count=None):
+def _spectrum_from_args(args):
     domain, spectrum = _parse_domain(args.domain)
-    if spectrum is None:
-        spectrum = spectrum_for(domain, args.n, count=count or cfg.spectrum_count)
-    return spectrum
+    return spectrum_for(domain, args.n) if spectrum is None else spectrum
 
 
 def cmd_constant(args) -> int:
-    cfg = resolve_config(args.config)
-    spectrum = _spectrum_from_args(args, cfg)
+    resolve_config(args.config)  # a bad config file still exits 2
+    spectrum = _spectrum_from_args(args)
     p = derive(args.n, args.alpha)
     report = classify(p, spectrum)
     if args.format == "json":
@@ -95,7 +93,7 @@ def cmd_constant(args) -> int:
 def cmd_scan(args) -> int:
     overrides = {"scan_L": args.mode_l, "scan_N": args.mode_n, "k_max": args.k_max}
     cfg = resolve_config(args.config, overrides)
-    spectrum = _spectrum_from_args(args, cfg)
+    spectrum = _spectrum_from_args(args)
     alphas = scan_alphas(args.alpha_from, args.alpha_to, args.step)
     rows_iter = compute_scan_rows(
         args.n, alphas, spectrum, with_numeric=args.with_numeric, cfg=cfg
@@ -117,9 +115,9 @@ def cmd_scan(args) -> int:
 def cmd_spectrum(args) -> int:
     if args.count < 1:
         raise ValueError("count must be >= 1")
-    cfg = resolve_config(args.config)
-    spectrum = _spectrum_from_args(args, cfg, count=args.count)
-    values = spectrum.eigenvalues[: args.count]
+    resolve_config(args.config)  # a bad config file still exits 2
+    spectrum = _spectrum_from_args(args)
+    values = spectrum.lowest(args.count)
     if args.format == "json":
         print(json.dumps({
             "domain": args.domain,

@@ -34,7 +34,6 @@ class Config:
     per-mode eigensolver at full resolution (verification suites).
     scan_L / scan_N: the same for the per-row sweeps of the scan command.
     k_max: highest spherical-harmonic degree probed by numeric sweeps.
-    spectrum_count: eigenvalues requested from spectra by default.
     step: cylinder quadrature step (minimum cell count still applies).
     bound_tol: tolerance for comparisons against closed-form bounds.
     equivalence_tol: contract for the x-space / cylinder agreement.
@@ -45,7 +44,6 @@ class Config:
     scan_L: float = 100.0
     scan_N: int = 4000
     k_max: int = 6
-    spectrum_count: int = 16
     step: float = 0.025
     bound_tol: float = 1e-3
     equivalence_tol: float = 1e-6
@@ -60,8 +58,6 @@ class Config:
                 raise ValueError(f"config {name} must be finite and > 0, got {value}")
         if not self.k_max >= 0:
             raise ValueError(f"config k_max must be >= 0, got {self.k_max}")
-        if not self.spectrum_count >= 1:
-            raise ValueError(f"config spectrum_count must be >= 1, got {self.spectrum_count}")
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(Config)}

@@ -151,11 +151,11 @@ class CylinderFunction:
 
 
 def _check_mode_in_spectrum(eigenvalue, spectrum: Spectrum, tol: float = 1e-9):
-    lams = spectrum.eigenvalues_past(eigenvalue, guard=0)
-    if not any(abs(float(lam) - float(eigenvalue)) <= tol for lam in lams):
+    near = spectrum.neighbours(eigenvalue)
+    if not any(lam is not None and abs(float(lam) - float(eigenvalue)) <= tol for lam in near):
         raise RellichConeError(
             f"angular eigenvalue {eigenvalue} not found in spectrum "
-            f"(closest entries: {lams[-3:]})"
+            f"(neighbours: {near[0]} below, {near[1]} at or above)"
         )
 
 

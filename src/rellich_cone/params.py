@@ -160,9 +160,12 @@ def _best_mode(p: Params, spectrum: Spectrum):
             f"alpha = 4 - n = {p.alpha}: the mode minimum is undefined at the "
             "critical exponent; use critical_constant instead"
         )
-    candidates = spectrum.around(mode_threshold(p))
+    # see best_mode_constant: lambda_min and the threshold's two neighbours
+    candidates = [spectrum.lambda_min, *spectrum.neighbours(mode_threshold(p))]
     best = best_lam = None
     for lam in candidates:
+        if lam is None:
+            continue
         v = mode_value(p, lam)
         if best is None or v < best:
             best, best_lam = v, lam
@@ -172,11 +175,13 @@ def _best_mode(p: Params, spectrum: Spectrum):
 def best_mode_constant(p: Params, spectrum: Spectrum):
     """min over the spectrum of (gamma + lambda)^2 / (h + lambda).
 
-    The infinite minimum is safe to truncate: eigenvalues are enumerated up
-    to the monotonicity threshold max(-gamma, gamma - 2h, 0) plus one guard
-    entry, beyond which the mode function is nondecreasing.  Returns 0
-    exactly when some eigenvalue equals -gamma (exact arithmetic when both
-    sides are rational).  Undefined at alpha = 4 - n.
+    Three eigenvalues decide it.  f'(t) has the sign of
+    (gamma + t)(t + 2h - gamma), so on t >= 0 the mode function rises, then
+    falls up to the threshold max(-gamma, gamma - 2h, 0), then rises: the
+    minimum is at lambda_min or at one of the threshold's two neighbours
+    in the spectrum.  Returns 0 exactly when some eigenvalue equals -gamma
+    (exact arithmetic when both sides are rational).  Undefined at
+    alpha = 4 - n.
     """
     return _best_mode(p, spectrum)[0]
 
@@ -294,11 +299,12 @@ def _neg_gamma_in_spectrum(p: Params, spectrum: Spectrum) -> bool:
     target = -exact.gamma
     if target < 0:
         return False
-    candidates = spectrum.around(target)
+    below, above = spectrum.neighbours(target)
     if spectrum.is_full_sphere:
-        return any(lam == target for lam in candidates)
-    tol = MEMBERSHIP_TOL
-    return any(abs(lam - float(target)) <= tol for lam in candidates)
+        return above == target
+    # the entries nearest the target are its two neighbours
+    return any(lam is not None and abs(lam - float(target)) <= MEMBERSHIP_TOL
+               for lam in (below, above))
 
 
 def classify(p: Params, spectrum: Spectrum) -> ConstantReport:

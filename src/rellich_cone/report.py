@@ -79,19 +79,19 @@ def _solve_smallest(A, Bl, Cl, L, N):
 def _numeric_probe(p, spectrum: Spectrum, report: ConstantReport, cfg: Config) -> float:
     """min over low modes of the discrete per-mode minimum.
 
-    Probes the eigenvalues enumerated by the mode-minimum truncation,
-    capped at k_max + 1 entries but always including the argmin of the mode
-    function (``report.attained_lambda``).  At the critical exponent the
-    radial mode is solved with a pure-stiffness denominator (the L^2 weight
-    vanishes there).
+    Probes the lowest k_max + 1 eigenvalues up to the first one at or above
+    the mode threshold and one more, always including the argmin of the
+    mode function (``report.attained_lambda``).  At the critical exponent
+    the radial mode is solved with a pure-stiffness denominator (the L^2
+    weight vanishes there) and all k_max + 1 are probed.
     """
-    if p.h == 0:
-        lams = spectrum.eigenvalues_past(0, guard=cfg.k_max)[: cfg.k_max + 1]
-    else:
-        lams = spectrum.eigenvalues_past(mode_threshold(p), guard=1)[: cfg.k_max + 1]
-        lam_star = report.attained_lambda
-        if lam_star not in lams:
-            lams.append(lam_star)
+    lams = spectrum.lowest(cfg.k_max + 1)
+    if p.h != 0:
+        threshold = mode_threshold(p)
+        past = next((i for i, lam in enumerate(lams) if lam >= threshold), len(lams))
+        lams = lams[: past + 2]
+        if report.attained_lambda not in lams:
+            lams.append(report.attained_lambda)
     best = None
     for lam in lams:
         lam = float(lam)
@@ -110,23 +110,10 @@ def compute_scan_rows(
     with_numeric: bool = False,
     cfg: Config | None = None,
 ):
-    """Yield ScanRows in alpha order, one row at a time.
-
-    The spectrum is grown past every threshold the sweep needs before the
-    first row.  A cap spectrum re-solved at a larger count reproduces its
-    lower eigenvalues only to about one ulp (to about 1e-11 where the count
-    cuts a degenerate cluster), so growing it once keeps every row on one
-    bit-identical eigenvalue list.
-    """
+    """Yield ScanRows in alpha order, one row at a time."""
     cfg = cfg or Config()
-    alphas = sorted(float(a) for a in alphas)
-    params = [derive(n, a) for a in alphas]
-    thresholds = [mode_threshold(p) for p in params if p.h != 0]
-    if thresholds:
-        spectrum.eigenvalues_past(max(thresholds), guard=cfg.k_max + 1)
-    spectrum.eigenvalues_past(0, guard=cfg.k_max + 1)
-
-    for p in params:
+    for alpha in sorted(float(a) for a in alphas):
+        p = derive(n, alpha)
         report = classify(p, spectrum)
         yield ScanRow(
             alpha=float(p.alpha),

@@ -12,19 +12,22 @@ Supported domains Sigma inside the unit sphere S^(n-1):
   spectrum {(k*pi/L)^2 : k = 1, 2, ...};
 * explicit user-supplied eigenvalue lists.
 
-A :class:`Spectrum` is an ascending, lazily extendable sequence; the first
-entry is the bottom eigenvalue lambda_min, which is 0 exactly for the full
-sphere and strictly positive otherwise.
+A :class:`Spectrum` answers by index instead of holding a list: its bottom
+eigenvalue lambda_min (0 exactly for the full sphere, strictly positive
+otherwise), its lowest ``count`` entries, and the two entries next to any
+value.  The sphere and the arc invert their closed forms, an explicit list
+bisects, and a cap solves each azimuthal order only up to the value.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable
 
 from .errors import ConvergenceError, SpectrumError
 
@@ -99,88 +102,26 @@ class DomainSpec:
         return DomainSpec(DomainKind.EXPLICIT, values=tuple(float(v) for v in values))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Spectrum:
-    """Ascending eigenvalue sequence with optional lazy extension.
+    """Ascending Dirichlet eigenvalues, answered by index instead of held as a list.
 
-    ``eigenvalues`` holds the entries computed so far.  When a provider is
-    attached, ``eigenvalues_past`` transparently extends the list; explicit
-    spectra cannot be extended and raise :class:`SpectrumError` when asked
-    for entries beyond what they hold.  ``neighbours(value)``, when
-    attached, returns the largest eigenvalue below ``value`` and the
-    smallest at or above it without enumerating the ones below.
+    ``lambda_min`` is the bottom entry.  ``lowest(count)`` returns the first
+    ``count`` entries; an explicit list returns fewer only if it holds fewer.
+    ``neighbours(x)`` returns the largest entry below ``x`` (None if there
+    is none) and the smallest entry at or above it; an explicit list that
+    ends below ``x`` raises :class:`SpectrumError`.
     """
 
-    eigenvalues: list
+    lambda_min: object
+    lowest: Callable[[int], list]
+    neighbours: Callable[[object], tuple]
     domain: DomainSpec | None = None
     resolution_meta: dict = field(default_factory=dict)
-    provider: Callable[[int], Sequence] | None = None
-    neighbours: Callable[[float], tuple] | None = None
-
-    def __post_init__(self):
-        if not self.eigenvalues:
-            raise SpectrumError("spectrum must hold at least one eigenvalue")
-        evs = list(self.eigenvalues)
-        if any(b < a for a, b in zip(evs, evs[1:])):
-            raise SpectrumError("eigenvalues must be ascending")
-        self.eigenvalues = evs
-
-    @property
-    def lambda_min(self):
-        return self.eigenvalues[0]
 
     @property
     def is_full_sphere(self) -> bool:
         return self.domain is not None and self.domain.kind is DomainKind.FULL_SPHERE
-
-    def _grow(self, count: int) -> bool:
-        if self.provider is None or count <= len(self.eigenvalues):
-            return False
-        fresh = list(self.provider(count))
-        if len(fresh) <= len(self.eigenvalues):
-            return False
-        self.eigenvalues = fresh
-        return True
-
-    def eigenvalues_past(self, threshold, guard: int = 1) -> list:
-        """Entries up to the first eigenvalue >= threshold, plus ``guard`` more.
-
-        Extends the sequence through the provider as needed.  For explicit
-        spectra that end below the threshold this raises, because the
-        minimum of the mode function could hide beyond the supplied data.
-        """
-        idx = None
-        while True:
-            for i, ev in enumerate(self.eigenvalues):
-                if ev >= threshold:
-                    idx = i
-                    break
-            if idx is not None:
-                break
-            if not self._grow(max(2 * len(self.eigenvalues), 8)):
-                raise SpectrumError(
-                    f"spectrum exhausted below threshold {threshold}: supply more "
-                    f"eigenvalues (have {len(self.eigenvalues)}, last "
-                    f"{self.eigenvalues[-1]})"
-                )
-        need = idx + 1 + guard
-        while len(self.eigenvalues) < need:
-            if not self._grow(need):
-                break  # guard entries are best-effort past the threshold
-        return list(self.eigenvalues[: min(need, len(self.eigenvalues))])
-
-    def around(self, value) -> list:
-        """Ascending entries holding lambda_min and both neighbours of ``value``.
-
-        Enough for a membership test at ``value`` and for the minimum of a
-        function that rises, then falls up to ``value``, then rises.  While
-        the held entries reach ``value``, or without ``neighbours``, this is
-        ``eigenvalues_past(value, guard=1)``; otherwise it is lambda_min and
-        the two neighbours.
-        """
-        if self.neighbours is None or self.eigenvalues[-1] >= value:
-            return self.eigenvalues_past(value, guard=1)
-        return [self.lambda_min, *self.neighbours(value)]
 
 
 def lambda_min(spectrum: Spectrum):
@@ -188,45 +129,73 @@ def lambda_min(spectrum: Spectrum):
     return spectrum.lambda_min
 
 
-def full_sphere_spectrum(n: int, count: int = 16) -> Spectrum:
-    """Spectrum {k(n-2+k)} of the full sphere S^(n-1); integer entries."""
+def _indexed(entry, first: int, guess: int, x) -> tuple:
+    """``neighbours(x)`` of the ascending entries ``entry(k)``, k >= ``first``,
+    from an estimate ``guess`` of the index of the smallest entry >= x: the
+    estimate is corrected by comparing the entries themselves with ``x``."""
+    k = max(guess, first)
+    while k > first and entry(k - 1) >= x:
+        k -= 1
+    while entry(k) < x:
+        k += 1
+    return (entry(k - 1) if k > first else None), entry(k)
+
+
+def full_sphere_spectrum(n: int) -> Spectrum:
+    """Spectrum {k(n-2+k) : k >= 0} of the full sphere S^(n-1); integer entries.
+
+    ``neighbours`` inverts k(n-2+k) with ``math.isqrt`` and compares exactly,
+    so a Fraction argument stays exact.
+    """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    d = n - 2
 
-    def provider(c):
-        return [k * (n - 2 + k) for k in range(c)]
+    def entry(k):
+        return k * (d + k)
 
-    return Spectrum(
-        eigenvalues=provider(count),
-        domain=DomainSpec.sphere(),
-        resolution_meta={"exact": True},
-        provider=provider,
-    )
+    def neighbours(x):
+        # k(d + k) >= x  iff  (2k + d)^2 >= d^2 + 4x
+        guess = (math.isqrt(d * d + 4 * max(math.ceil(x), 0)) - d) // 2
+        return _indexed(entry, 0, guess, x)
+
+    return Spectrum(lambda_min=0, lowest=lambda count: [entry(k) for k in range(count)],
+                    neighbours=neighbours, domain=DomainSpec.sphere(),
+                    resolution_meta={"exact": True})
 
 
-def arc_spectrum(length: float, count: int = 16) -> Spectrum:
+def arc_spectrum(length: float) -> Spectrum:
     """Dirichlet spectrum {(k*pi/length)^2 : k >= 1} of an arc (n = 2)."""
     domain = DomainSpec.arc(length)
-    if count < 1:
-        raise ValueError("count must be >= 1")
 
-    def provider(c):
-        return [(k * math.pi / domain.length) ** 2 for k in range(1, c + 1)]
+    def entry(k):
+        return (k * math.pi / domain.length) ** 2
 
-    return Spectrum(
-        eigenvalues=provider(count),
-        domain=domain,
-        resolution_meta={"exact": True},
-        provider=provider,
-    )
+    def neighbours(x):
+        guess = math.ceil(domain.length * math.sqrt(max(x, 0)) / math.pi)
+        return _indexed(entry, 1, guess, x)
+
+    return Spectrum(lambda_min=entry(1),
+                    lowest=lambda count: [entry(k) for k in range(1, count + 1)],
+                    neighbours=neighbours, domain=domain, resolution_meta={"exact": True})
 
 
 def explicit_spectrum(values) -> Spectrum:
-    """Spectrum from a user-supplied ascending list; not extendable."""
+    """Spectrum from a user-supplied ascending list; it holds nothing past its end."""
     domain = DomainSpec.explicit(values)
-    return Spectrum(eigenvalues=list(domain.values), domain=domain,
+    held = list(domain.values)
+
+    def neighbours(x):
+        k = bisect.bisect_left(held, x)
+        if k == len(held):
+            raise SpectrumError(
+                f"spectrum exhausted below threshold {x}: supply more eigenvalues "
+                f"(have {len(held)}, last {held[-1]})"
+            )
+        return (held[k - 1] if k else None), held[k]
+
+    return Spectrum(lambda_min=held[0], lowest=lambda count: held[:count],
+                    neighbours=neighbours, domain=domain,
                     resolution_meta={"source": "explicit"})
 
 
@@ -381,19 +350,22 @@ def _cap_order(n: int, theta0: float, m: int, bound: float):
     d, e = _cap_tridiagonal(n, theta0, m, CHECK_GRID)
     k, nu = (n - 2) / 2, m + (n - 3) / 2
     start = max(m + k, math.sqrt(max(nu * nu - 0.25, 0.0)) / math.sin(min(theta0, math.pi / 2)))
-    top, step, limit = math.sqrt(bound + k * k), SCAN_STEP, CHECK_GRID // 32
+    # the scan runs a hair past K at the bound, so that two roots lie above
+    # it however sqrt rounds; the split itself compares eigenvalues, so an
+    # eigenvalue equal to ``bound`` is never filed below it
+    top, step, limit = math.sqrt(bound + k * k) * (1 + 1e-12), SCAN_STEP, CHECK_GRID // 32
     for _ in range(REFINEMENTS + 1):
         roots = _ladder_roots(functools.partial(_ladder, n, theta0, m), start, step, top, limit)
-        keep = int(np.searchsorted(roots, top))
-        if keep + 2 > roots.size:
-            raise ConvergenceError(
-                f"cap eigenvalues did not converge: order {m} has more than {limit} "
-                f"below {bound:.6g}, beyond what the index check on grid {CHECK_GRID} resolves")
         lam = (roots - k) * (roots + k)
         if lam[0] <= 0:
             raise ConvergenceError(
                 f"cap eigenvalues did not converge: lambda_min at n={n}, theta0={theta0} "
                 f"lies below the roots' resolution, about eps * (n-2)^2/4")
+        keep = int(np.searchsorted(lam, bound))
+        if keep + 2 > roots.size:
+            raise ConvergenceError(
+                f"cap eigenvalues did not converge: order {m} has more than {limit} "
+                f"below {bound:.6g}, beyond what the index check on grid {CHECK_GRID} resolves")
         mids = (lam[: keep + 1] + lam[1 : keep + 2]) / 2
         if [_sturm_count(d, e, mid) for mid in mids] == list(range(1, keep + 2)):
             return lam[:keep].tolist(), float(lam[keep])
@@ -438,49 +410,48 @@ def _cap_fd(n: int, theta0: float, count: int, grid: int):
         found = sorted(found + order)[:count]
 
 
-def cap_spectrum(n: int, theta0: float, count: int = 8) -> Spectrum:
-    """Lowest Dirichlet eigenvalues of the geodesic cap of radius theta0.
+def cap_spectrum(n: int, theta0: float) -> Spectrum:
+    """Dirichlet spectrum of the geodesic cap of radius theta0.
 
     Each azimuthal order's eigenvalues are index-checked roots of a Legendre
-    ladder (``_cap_order``), or :class:`ConvergenceError`.  The ``count``
-    lowest come from all orders below a bound that doubles until it holds
-    them; ``neighbours`` solves each order up to its first root past the
-    value.  ``resolution_meta``: ``method`` and ``m_max``, the highest
-    azimuthal order solved (orders are not cut off).
+    ladder (``_cap_order``), or :class:`ConvergenceError`.  ``neighbours``
+    solves each order up to its first root past the value; ``lowest(count)``
+    takes all orders below a bound that doubles until it holds ``count``
+    entries, and records in ``resolution_meta`` the highest azimuthal order
+    it solved as ``m_max`` (orders are not cut off), after ``method``.
+    Solves are cached by bound: an eigenvalue comes out the same whatever
+    the bound that found it.
     """
     if n < 3:
         raise ValueError(f"cap spectra need n >= 3, got {n}")
-    if count < 1:
-        raise ValueError("count must be >= 1")
     domain = DomainSpec.cap(theta0)
+    split = functools.lru_cache(maxsize=None)(functools.partial(_cap_split, n, domain.theta0))
+    meta = {"method": "legendre-ladder"}
 
-    def solve(c, bound=0.0):
-        below, above, m_max = _cap_split(n, theta0, bound)
-        return (below[:c], m_max) if len(below) >= c else solve(c, 2.0 * above)
+    def lowest(count):
+        below, above, meta["m_max"] = split(0.0)
+        while len(below) < count:
+            below, above, meta["m_max"] = split(2.0 * above)
+        return below[:count]
 
-    values, m_max = solve(count)
+    def neighbours(x):
+        below, above, _ = split(max(float(x), 0.0))  # every entry is positive
+        return (below[-1] if below else None), above
 
-    # classify asks at -gamma and at the mode threshold, often the same value
-    @functools.lru_cache(maxsize=None)
-    def neighbours(value):
-        below, above, _ = _cap_split(n, theta0, float(value))
-        return below[-1], above
-
-    return Spectrum(eigenvalues=values, domain=domain,
-                    resolution_meta={"method": "legendre-ladder", "m_max": m_max},
-                    provider=lambda c: solve(c)[0], neighbours=neighbours)
+    return Spectrum(lambda_min=split(0.0)[1], lowest=lowest, neighbours=neighbours,
+                    domain=domain, resolution_meta=meta)
 
 
-def spectrum_for(domain: DomainSpec, n: int, count: int = 16) -> Spectrum:
+def spectrum_for(domain: DomainSpec, n: int) -> Spectrum:
     """Build the spectrum of ``domain`` inside S^(n-1)."""
     if domain.kind is DomainKind.FULL_SPHERE:
-        return full_sphere_spectrum(n, count)
+        return full_sphere_spectrum(n)
     if domain.kind is DomainKind.ARC:
         if n != 2:
             raise ValueError(f"arc domains require n = 2, got n = {n}")
-        return arc_spectrum(domain.length, count)
+        return arc_spectrum(domain.length)
     if domain.kind is DomainKind.CAP:
-        return cap_spectrum(n, domain.theta0, count)
+        return cap_spectrum(n, domain.theta0)
     return explicit_spectrum(domain.values)
 
 

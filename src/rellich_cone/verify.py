@@ -362,22 +362,22 @@ def witness_suite(cfg: Config) -> list[CheckResult]:
 def spectra_suite(cfg: Config) -> list[CheckResult]:
     out = []
     for n in (3, 4, 5):
-        spec = cap_spectrum(n, np.pi / 2, count=1)
+        spec = cap_spectrum(n, np.pi / 2)
         rel = abs(spec.lambda_min - (n - 1)) / (n - 1)
         out.append(_check(
             f"spectra/hemisphere-n{n}",
             rel <= 1e-5,
             f"lambda_min = {spec.lambda_min:.10f}, target {n - 1}, rel err {rel:.2e}",
         ))
-    arc = arc_spectrum(np.pi, count=3)
-    ok = max(abs(v - t) for v, t in zip(arc.eigenvalues, (1.0, 4.0, 9.0))) == 0.0
-    out.append(_check("spectra/arc-exact", ok, f"length pi: {arc.eigenvalues}"))
-    arc2 = arc_spectrum(np.pi / 2, count=2)
-    ok2 = max(abs(v - t) for v, t in zip(arc2.eigenvalues, (4.0, 16.0))) == 0.0
-    out.append(_check("spectra/arc-exact-half", ok2, f"length pi/2: {arc2.eigenvalues}"))
+    arc = arc_spectrum(np.pi).lowest(3)
+    ok = max(abs(v - t) for v, t in zip(arc, (1.0, 4.0, 9.0))) == 0.0
+    out.append(_check("spectra/arc-exact", ok, f"length pi: {arc}"))
+    arc2 = arc_spectrum(np.pi / 2).lowest(2)
+    ok2 = max(abs(v - t) for v, t in zip(arc2, (4.0, 16.0))) == 0.0
+    out.append(_check("spectra/arc-exact-half", ok2, f"length pi/2: {arc2}"))
     thetas = (np.pi / 4, np.pi / 2, 3 * np.pi / 4)
     for n in (3, 4):
-        vals = [cap_spectrum(n, t, count=1).lambda_min for t in thetas]
+        vals = [cap_spectrum(n, t).lambda_min for t in thetas]
         ok = vals[0] > vals[1] > vals[2] > 0
         out.append(_check(
             f"spectra/cap-monotone-n{n}",
@@ -388,7 +388,7 @@ def spectra_suite(cfg: Config) -> list[CheckResult]:
     # the ladder roots against a second discretization, within its estimate
     cases = ((3, 1.0), (4, 2.5), (5, 0.7), (6, 2.0))
     worst = max(abs(root - value) / error for n, theta0 in cases for root, (value, error)
-                in zip(cap_spectrum(n, theta0, count=4).eigenvalues, _cap_fd(n, theta0, 4, 512)))
+                in zip(cap_spectrum(n, theta0).lowest(4), _cap_fd(n, theta0, 4, 512)))
     out.append(_check("spectra/cap-fd-agreement", worst <= 1.0,
                       f"4 lowest at (n, theta0) in {cases}: |root - FD| <= {worst:.1e} x "
                       "the FD estimate |b - a|/3"))

@@ -1,7 +1,9 @@
 """CLI: subcommands, output formats, determinism, exit codes, config."""
 
 import json
+import math
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -103,6 +105,26 @@ class TestConstant:
         assert out == ""
         assert "did not converge" in err
 
+    @pytest.mark.parametrize("alpha", ["1e12", "-1e12"])
+    def test_huge_alpha_exact_and_fast(self, capsys, alpha):
+        # the sphere answers by index: no listing of ~5e11 eigenvalues
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "constant", "--n", "3", f"--alpha={alpha}",
+                               "--format", "json")
+        assert time.perf_counter() - start < 0.5
+        assert code == 0
+        data = json.loads(out)
+        # oracle: exact f over lambda = 0 and a window of k(k+1) around sqrt(T);
+        # f falls up to the threshold T and rises after it
+        p = derive(3, Fraction(alpha))
+        threshold = max(-p.gamma, p.gamma - 2 * p.h, 0)
+        root = math.isqrt(math.floor(threshold))
+        lams = [0] + [k * (k + 1) for k in range(max(root - 5, 0), root + 5)]
+        best = min(lams, key=lambda lam: mode_value(p, lam))
+        assert data["M"] == float(mode_value(p, best))
+        assert data["attained_lambda"] == float(best)
+        assert data["positive"] is True
+
     def test_bad_domain_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "constant", "--n", "3", "--alpha", "0",
                                "--domain", "cube:1")
@@ -140,7 +162,7 @@ class TestScan:
         assert lines[1].split(",")[2] == "6.25"  # M(5, 0) = n^2/4
 
     def test_cap_rows_equal_constant(self, capsys):
-        # every row's spectrum query reaches well past the held eigenvalues
+        # every row asks the cap for the neighbours of its own threshold
         code, out, _ = run_cli(capsys, "scan", "--n", "6", "--alpha-from=30",
                                "--alpha-to=32", "--step=1", "--domain", "cap:1.5054",
                                "--format", "csv")
@@ -154,6 +176,21 @@ class TestScan:
             assert code == 0
             fields = dict(zip(*(line.split(",") for line in single.strip().split("\n"))))
             assert (m, regime, certified) == (fields["M"], fields["regime"], fields["certified"])
+
+    def test_cap_rows_equal_constant_across_regimes(self, capsys):
+        # radial, mode-k and uncertified rows on one cap, one spectrum object
+        args = ("--n", "4", "--domain", "cap:1.2", "--format", "json")
+        code, out, _ = run_cli(capsys, "scan", "--alpha-from=-3", "--alpha-to=7",
+                               "--step=0.5", *args)
+        assert code == 0
+        rows = json.loads(out)
+        assert len(rows) == 21 and len({row["regime"] for row in rows}) >= 2
+        for row in rows:
+            code, single, _ = run_cli(capsys, "constant", f"--alpha={row['alpha']!r}", *args)
+            assert code == 0
+            data = json.loads(single)
+            assert (row["delta_rad"], row["M"], row["regime"], row["certified"]) == (
+                data["delta_rad"], data["M"], data["regime"], data["certified"])
 
     def test_byte_determinism(self, capsys):
         args = ("scan", "--n", "3", "--alpha-from", "-1", "--alpha-to", "2",
@@ -381,11 +418,20 @@ class TestConfig:
     @pytest.mark.parametrize("key, value", [
         ("mode_N", 2), ("scan_N", 0), ("mode_L", 0.0), ("scan_L", float("inf")),
         ("step", -0.1), ("bound_tol", float("nan")), ("equivalence_tol", 0.0),
-        ("k_max", -1), ("spectrum_count", 0),
+        ("k_max", -1),
     ])
     def test_out_of_range_value_rejected(self, key, value):
         with pytest.raises(ValueError, match=key):
             Config(**{key: value})
+
+    def test_removed_spectrum_count_key_exit_2(self, capsys, tmp_path):
+        # spectra answer by index, so there is no eigenvalue count to configure
+        path = tmp_path / "cfg.txt"
+        path.write_text("spectrum_count = 16\n")
+        code, out, err = run_cli(capsys, "--config", str(path), "constant", "--n", "3",
+                                 "--alpha", "0")
+        assert code == 2
+        assert out == "" and "unknown config key 'spectrum_count'" in err
 
     def test_out_of_range_file_value_exit_2(self, capsys, tmp_path):
         path = tmp_path / "cfg.txt"

@@ -14,6 +14,7 @@ from rellich_cone import (
     CylinderFunction,
     LineBump,
     ModeProblem,
+    ScaledLineBump,
     SolverError,
     best_mode_constant,
     classify,
@@ -187,7 +188,7 @@ class TestMinimizeMode:
             target = float(best_mode_constant(p, spec))
             discrete = min(
                 minimize_mode(ModeProblem.from_params(p, float(lam), L=100.0, N=4000)).value
-                for lam in spec.eigenvalues[:4]
+                for lam in spec.lowest(4)
             )
             assert discrete == pytest.approx(target, abs=1e-3)
 
@@ -385,6 +386,15 @@ class TestScaledFamily:
             p = derive(n, float(4 - n))
             lam = float(n - 1)
             assert scaled_family_value(p, lam, 1e-2) == pytest.approx(n - 1, abs=2e-3)
+
+    @pytest.mark.parametrize("eps", [0.3, 0.1, 0.01])
+    def test_closed_form_matches_quadrature(self, eps):
+        # the closed form against the trapezoid quotient of ScaledLineBump
+        for n, alpha, lam in ((3, 0.0, 2.0), (5, -1.5, 4.0), (4, 3.25, 0.0)):
+            p = derive(n, alpha)
+            w = CylinderFunction(profile=ScaledLineBump(eps), eigenvalue=lam)
+            quadrature = cylinder_quotient(w, p, lam).ratio
+            assert scaled_family_value(p, lam, eps) == pytest.approx(quadrature, rel=1e-12)
 
     def test_validation(self):
         p = derive(3, 0.0)

@@ -138,7 +138,7 @@ class TestBestModeConstant:
     def test_minimum_below_every_enumerated_mode(self, sphere3):
         p = derive(3, Fraction(0))
         m = best_mode_constant(p, sphere3)
-        for lam in sphere3.eigenvalues_past(mode_threshold(p), guard=3):
+        for lam in sphere3.lowest(40):
             assert m <= mode_value(p, lam)
         assert m <= radial_constant(p)  # 0 is in the sphere spectrum
 
@@ -285,8 +285,21 @@ class TestClassify:
         assert rep.regime is Regime.DEGENERATE
         assert rep.certified  # gap condition holds: gamma - 2h < 0
 
+    def test_knife_edge_far_up_the_spectrum(self):
+        # alpha = 2 + (n - 2 + 2k) puts -gamma exactly on k(n-2+k), k = 10^6
+        n, k = 3, 10**6
+        spec = full_sphere_spectrum(n)
+        rep = classify(derive(n, 2 + n - 2 + 2 * k), spec)
+        assert -derive(n, 2 + n - 2 + 2 * k).gamma == k * (n - 2 + k)
+        assert rep.regime is Regime.DEGENERATE and not rep.positive and rep.M == 0.0
+        assert rep.attained_lambda == float(k * (n - 2 + k))
+        # a rational hair away on either side the constant is positive again
+        for shift in (Fraction(1, 10**12), Fraction(-1, 10**12)):
+            off = classify(derive(n, 2 + n - 2 + 2 * k + shift), spec)
+            assert off.positive and off.regime is Regime.MODE_K and off.M > 0
+
     def test_cap_domain_gap_certified(self):
-        spec = cap_spectrum(3, np.pi / 2, count=4)
+        spec = cap_spectrum(3, np.pi / 2)
         rep = classify(derive(3, 0), spec)
         assert rep.positive
         # hemisphere lambda_min = 2: the minimum is at the first cap mode
@@ -295,14 +308,14 @@ class TestClassify:
         assert rep.M == pytest.approx(25 / 36, rel=1e-8)
 
     def test_arc_domain(self):
-        spec = arc_spectrum(np.pi, count=8)
+        spec = arc_spectrum(np.pi)
         rep = classify(derive(2, 0), spec)
         # -gamma = 1 is the first arc eigenvalue (length pi): degenerate
         assert not rep.positive
         assert rep.M == 0.0
 
     def test_critical_on_proper_subdomain_uncertified(self):
-        spec = arc_spectrum(np.pi / 2, count=4)
+        spec = arc_spectrum(np.pi / 2)
         rep = classify(derive(2, 2), spec)
         assert rep.regime is Regime.CRITICAL
         assert rep.critical is None and rep.M is None

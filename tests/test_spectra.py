@@ -1,14 +1,16 @@
-"""Eigenvalue providers: full sphere, arcs, caps, explicit lists."""
+"""Spectra by index: full sphere, arcs, caps, explicit lists."""
 
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rellich_cone import (
     ConvergenceError,
     DomainSpec,
-    Spectrum,
     SpectrumError,
     arc_spectrum,
     cap_spectrum,
@@ -34,91 +36,86 @@ class TestFullSphere:
         (5, 3, [0, 4, 10]),
     ])
     def test_closed_form(self, n, count, expected):
-        spec = full_sphere_spectrum(n, count)
-        assert spec.eigenvalues[:count] == expected
-        assert all(isinstance(v, int) for v in spec.eigenvalues)
+        values = full_sphere_spectrum(n).lowest(count)
+        assert values == expected
+        assert all(isinstance(v, int) for v in values)
 
     def test_lambda_min_zero(self):
         assert lambda_min(full_sphere_spectrum(3)) == 0
 
-    def test_lazy_extension(self):
-        spec = full_sphere_spectrum(3, count=2)
-        vals = spec.eigenvalues_past(100, guard=1)
-        assert vals[-2] >= 100
-        assert vals == [k * (k + 1) for k in range(len(vals))]
-
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             full_sphere_spectrum(1)
-        with pytest.raises(ValueError):
-            full_sphere_spectrum(3, 0)
 
 
 class TestArc:
     def test_length_pi(self):
-        assert arc_spectrum(np.pi, 3).eigenvalues == [1.0, 4.0, 9.0]
+        assert arc_spectrum(np.pi).lowest(3) == [1.0, 4.0, 9.0]
 
     def test_length_half_pi(self):
-        assert arc_spectrum(np.pi / 2, 2).eigenvalues == [4.0, 16.0]
+        assert arc_spectrum(np.pi / 2).lowest(2) == [4.0, 16.0]
 
     def test_full_circle_limit(self):
         eps = 1e-9
-        first = arc_spectrum(2 * np.pi - eps, 1).eigenvalues[0]
+        first = arc_spectrum(2 * np.pi - eps).lowest(1)[0]
         assert first == pytest.approx(0.25, rel=1e-8)
 
     def test_lambda_min(self):
-        assert lambda_min(arc_spectrum(np.pi, 4)) == 1.0
+        assert lambda_min(arc_spectrum(np.pi)) == 1.0
 
     @pytest.mark.parametrize("length", [0.0, -1.0, 2 * np.pi, 7.0])
     def test_rejects_out_of_range(self, length):
         with pytest.raises(ValueError):
-            arc_spectrum(length, 2)
+            arc_spectrum(length)
 
 
 class TestCap:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_hemisphere_first_eigenvalue(self, n):
         # the degree-1 zonal harmonic vanishes on the equator: lambda = n - 1
-        spec = cap_spectrum(n, np.pi / 2, count=1)
+        spec = cap_spectrum(n, np.pi / 2)
         assert spec.lambda_min == pytest.approx(n - 1, rel=1e-5)
 
     def test_hemisphere_n3_low_spectrum(self):
         # odd-degree spherical harmonics restricted to the hemisphere:
         # k(k+1) for k = 1, 2, 3 with the k = 3 eigenvalue doubled
-        spec = cap_spectrum(3, np.pi / 2, count=4)
-        assert spec.eigenvalues == pytest.approx([2, 6, 12, 12], rel=1e-7)
+        spec = cap_spectrum(3, np.pi / 2)
+        assert spec.lowest(4) == pytest.approx([2, 6, 12, 12], rel=1e-7)
 
     def test_frozen_oracle_pi_third(self):
-        spec = cap_spectrum(3, np.pi / 3, count=1)
+        spec = cap_spectrum(3, np.pi / 3)
         assert spec.lambda_min == pytest.approx(CAP3_PI3_FIRST, rel=1e-5)
 
     def test_monotone_in_theta0(self):
         for n in (3, 4, 5):
-            vals = [cap_spectrum(n, t, count=1).lambda_min
+            vals = [cap_spectrum(n, t).lambda_min
                     for t in (np.pi / 4, np.pi / 2, 3 * np.pi / 4)]
             assert vals[0] > vals[1] > vals[2] > 0
 
     def test_full_sphere_limit_trend(self):
         # lambda_min decreases toward 0 as the cap swallows the sphere
         thetas = np.linspace(np.pi / 2, 0.98 * np.pi, 5)
-        vals = [cap_spectrum(3, t, count=1).lambda_min for t in thetas]
+        vals = [cap_spectrum(3, t).lambda_min for t in thetas]
         assert all(b < a for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 0.2
 
     def test_positive_entries(self):
-        spec = cap_spectrum(4, 1.0, count=5)
-        assert all(v > 0 for v in spec.eigenvalues)
-        assert spec.eigenvalues == sorted(spec.eigenvalues)
+        values = cap_spectrum(4, 1.0).lowest(5)
+        assert len(values) == 5 and all(v > 0 for v in values)
+        assert values == sorted(values)
 
     def test_resolution_meta(self):
-        meta = cap_spectrum(3, np.pi / 2, count=2).resolution_meta
-        assert meta["method"] == "legendre-ladder"
+        spec = cap_spectrum(3, np.pi / 2)
+        spec.lowest(2)
+        assert list(spec.resolution_meta) == ["method", "m_max"]
+        assert spec.resolution_meta["method"] == "legendre-ladder"
         # the finite-difference check converges on its own grids
         assert all(err < 1e-5 * v for v, err in _cap_fd(3, np.pi / 2, 2, 512))
-        # m_max is the highest azimuthal order solved, not a cutoff
-        few = cap_spectrum(3, np.pi / 2, count=4).resolution_meta["m_max"]
-        many = cap_spectrum(3, np.pi / 2, count=40).resolution_meta["m_max"]
-        assert many > few
+        # m_max is the highest azimuthal order lowest() solved, not a cutoff
+        spec.lowest(4)
+        few = spec.resolution_meta["m_max"]
+        spec.lowest(40)
+        assert spec.resolution_meta["m_max"] > few
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     @pytest.mark.parametrize("theta0", [1.0, np.pi / 2, 2.0])
@@ -144,7 +141,7 @@ class TestCap:
         )
         nu = brentq(zonal, *bracket, xtol=1e-13)
         oracle = nu * (nu + n - 2)
-        root = cap_spectrum(n, theta0, count=1).lambda_min
+        root = cap_spectrum(n, theta0).lambda_min
         assert root == pytest.approx(oracle, rel=1e-12)
 
     def test_s3_cap_closed_form(self):
@@ -161,8 +158,7 @@ class TestCap:
         # with k - m odd, so clusters of equal values from several orders
         exact = sorted(k * (k + n - 2) for k in range(20) for m in range(k + 1)
                        if (k - m) % 2 == 1)[:40]
-        spec = cap_spectrum(n, np.pi / 2, count=40)
-        assert spec.eigenvalues == pytest.approx(exact, rel=1e-14)
+        assert cap_spectrum(n, np.pi / 2).lowest(40) == pytest.approx(exact, rel=1e-14)
 
     def test_hemisphere_n4_order_one(self):
         values, above = _cap_order(4, np.pi / 2, 1, 40.0)
@@ -187,7 +183,7 @@ class TestCap:
     ])
     def test_roots_within_fd_estimate(self, n, theta0):
         # the second discretization: every root within |b - a|/3 of FD
-        roots = cap_spectrum(n, theta0, count=10).eigenvalues
+        roots = cap_spectrum(n, theta0).lowest(10)
         fd = _cap_fd(n, theta0, 10, 512)
         assert len(fd) == len(roots)
         for root, (value, err) in zip(roots, fd):
@@ -198,7 +194,7 @@ class TestCap:
         # roots lie within it
         coarse = _cap_fd(3, np.pi / 3, 2, 64)
         assert all(err > 1e-5 * v for v, err in coarse)
-        roots = cap_spectrum(3, np.pi / 3, count=2).eigenvalues
+        roots = cap_spectrum(3, np.pi / 3).lowest(2)
         assert all(abs(r - v) <= err for r, (v, err) in zip(roots, coarse))
 
     def test_exact_zero_at_a_scan_point_is_one_root(self):
@@ -210,15 +206,15 @@ class TestCap:
     def test_unresolvable_lambda_min_reported(self):
         # at n = 200 the hole's lambda_min is far below eps * (n-2)^2/4
         with pytest.raises(ConvergenceError, match="resolution"):
-            cap_spectrum(200, 2.5, count=1)
+            cap_spectrum(200, 2.5)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            cap_spectrum(2, np.pi / 2, count=1)
+            cap_spectrum(2, np.pi / 2)
         with pytest.raises(ValueError):
-            cap_spectrum(3, 0.0, count=1)
+            cap_spectrum(3, 0.0)
         with pytest.raises(ValueError):
-            cap_spectrum(3, np.pi, count=1)
+            cap_spectrum(3, np.pi)
 
     def test_hemisphere_n3_exact_forty(self):
         # the harmonics of degree k and order m that vanish on the equator
@@ -226,15 +222,14 @@ class TestCap:
         # azimuthal orders above 8, so no order may be cut off
         exact = sorted(k * (k + 1) for k in range(20) for m in range(k + 1)
                        if (k - m) % 2 == 1)[:40]
-        spec = cap_spectrum(3, np.pi / 2, count=40)
-        assert spec.eigenvalues == pytest.approx(exact, rel=1e-14)
+        assert cap_spectrum(3, np.pi / 2).lowest(40) == pytest.approx(exact, rel=1e-14)
 
     @pytest.mark.parametrize("n,theta0", [(3, 1.0), (5, 0.7), (6, 2.5)])
     def test_count_independent(self, n, theta0):
         # each eigenvalue is bisected to full relative precision, so asking
         # for more of the spectrum leaves the lower entries as they were
-        low = cap_spectrum(n, theta0, count=8).eigenvalues
-        high = cap_spectrum(n, theta0, count=32).eigenvalues[:8]
+        low = cap_spectrum(n, theta0).lowest(8)
+        high = cap_spectrum(n, theta0).lowest(32)[:8]
         assert low == pytest.approx(high, rel=1e-13)
 
     @pytest.mark.parametrize("n,theta0,value", [
@@ -248,21 +243,28 @@ class TestCap:
         assert listed[-1][0] > value
         below = max(pair for pair in listed if pair[0] < value)
         above = min(pair for pair in listed if pair[0] >= value)
-        spec = cap_spectrum(n, theta0, count=4)
-        assert spec.eigenvalues[-1] < value
-        lam_min, *near = spec.around(value)
-        assert lam_min == spec.lambda_min
+        near = cap_spectrum(n, theta0).neighbours(value)
         for root, (fd, err) in zip(near, (below, above)):
             assert abs(root - fd) <= err
         # and exactly the values the enumeration lists
-        listed = cap_spectrum(n, theta0, count=128).eigenvalues
-        assert near == [max(v for v in listed if v < value),
-                        min(v for v in listed if v >= value)]
+        listed = cap_spectrum(n, theta0).lowest(128)
+        assert near == (max(v for v in listed if v < value),
+                        min(v for v in listed if v >= value))
 
-    def test_around_answers_from_held_entries(self):
-        spec = cap_spectrum(4, 1.0, count=16)
-        value = spec.eigenvalues[5]
-        assert spec.around(value) == spec.eigenvalues_past(value, guard=1)
+    @pytest.mark.parametrize("n,theta0", [
+        (4, 1.0),
+        # an entry whose K = sqrt(lambda + (n-2)^2/4) rounds below the
+        # bound's: split in K, these were filed below themselves
+        (3, 2.756200970486376), (4, 1.7598518909367848), (7, 1.8809618411290445),
+    ])
+    def test_neighbours_at_an_entry(self, n, theta0):
+        # an entry is its own upper neighbour, bit for bit, whatever bound
+        # found it; the lower one is the largest entry strictly below
+        spec = cap_spectrum(n, theta0)
+        listed = spec.lowest(14)
+        for value in listed[1:]:
+            assert spec.neighbours(value) == (max(v for v in listed if v < value), value)
+        assert spec.lambda_min == listed[0]
 
     def test_unresolvable_neighbours_fail_in_first_order(self, monkeypatch):
         from rellich_cone import spectra
@@ -273,11 +275,11 @@ class TestCap:
             orders.append(m)
             return build(n, theta0, m, grid)
 
-        spec = cap_spectrum(3, 1.0, count=4)
+        spec = cap_spectrum(3, 1.0)
         monkeypatch.setattr(spectra, "_cap_tridiagonal", recording)
         start = time.perf_counter()
         with pytest.raises(ConvergenceError, match="did not converge"):
-            spec.around(1e9)
+            spec.neighbours(1e9)
         assert time.perf_counter() - start < 1.0
         assert set(orders) == {0}
 
@@ -286,7 +288,8 @@ class TestExplicitAndFiles:
     def test_explicit_roundtrip(self):
         spec = explicit_spectrum([0.5, 1.5, 7.0])
         assert spec.lambda_min == 0.5
-        assert spec.eigenvalues_past(1.0, guard=1) == [0.5, 1.5, 7.0]
+        assert spec.neighbours(1.0) == (0.5, 1.5)
+        assert spec.lowest(3) == [0.5, 1.5, 7.0]
 
     def test_explicit_validation(self):
         with pytest.raises(ValueError):
@@ -298,18 +301,20 @@ class TestExplicitAndFiles:
 
     def test_exhaustion(self):
         spec = explicit_spectrum([0.5, 1.5])
-        with pytest.raises(SpectrumError):
-            spec.eigenvalues_past(10.0)
+        with pytest.raises(SpectrumError, match="exhausted below threshold 10.0"):
+            spec.neighbours(10.0)
 
-    def test_guard_is_best_effort_at_list_end(self):
+    def test_neighbours_at_list_end(self):
+        # the last entry still answers; a list returns fewer only if it holds fewer
         spec = explicit_spectrum([0.5, 1.5])
-        assert spec.eigenvalues_past(1.5, guard=1) == [0.5, 1.5]
+        assert spec.neighbours(1.5) == (0.5, 1.5)
+        assert spec.lowest(4) == [0.5, 1.5]
 
     def test_load_spectrum_file(self, tmp_path):
         path = tmp_path / "spec.txt"
         path.write_text("# test spectrum\n0.5\n1.5  # inline comment\n\n7.0\n")
         spec = load_spectrum_file(path)
-        assert spec.eigenvalues == [0.5, 1.5, 7.0]
+        assert spec.lowest(3) == [0.5, 1.5, 7.0]
 
     def test_load_spectrum_file_errors(self, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -321,17 +326,99 @@ class TestExplicitAndFiles:
         with pytest.raises(SpectrumError):
             load_spectrum_file(empty)
 
-    def test_spectrum_requires_ascending(self):
-        with pytest.raises(SpectrumError):
-            Spectrum(eigenvalues=[2.0, 1.0])
+    def test_spectrum_requires_ascending(self, tmp_path):
+        path = tmp_path / "descending.txt"
+        path.write_text("2.0\n1.0\n")
+        with pytest.raises(ValueError, match="ascending"):
+            load_spectrum_file(path)
+
+
+class TestNeighbours:
+    """One protocol on every domain: at an entry, between entries, below
+    lambda_min, and past the end of an explicit list."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: full_sphere_spectrum(3),
+        lambda: arc_spectrum(np.pi / 3),
+        lambda: explicit_spectrum([0.5, 1.5, 4.0, 7.0, 30.0]),
+        lambda: cap_spectrum(3, 1.2),
+    ], ids=["sphere", "arc", "explicit", "cap"])
+    def test_protocol(self, make):
+        spec = make()
+        listed = spec.lowest(5)
+        assert listed[0] == spec.lambda_min
+        # at an entry: the entry itself is above, the largest smaller one below
+        assert spec.neighbours(listed[2]) == (listed[1], listed[2])
+        # between entries
+        middle = (listed[2] + listed[3]) / 2
+        assert spec.neighbours(middle) == (listed[2], listed[3])
+        # at and below lambda_min
+        assert spec.neighbours(listed[0]) == (None, listed[0])
+        assert spec.neighbours(-1) == (None, listed[0])
+
+    def test_duplicate_entry(self):
+        spec = explicit_spectrum([0.5, 1.5, 1.5, 7.0])
+        assert spec.neighbours(1.5) == (0.5, 1.5)
+        assert spec.neighbours(2.0) == (1.5, 7.0)
+
+    def test_past_explicit_list_exit_2(self, capsys, tmp_path):
+        from rellich_cone.cli import main
+
+        path = tmp_path / "spec.txt"
+        path.write_text("0.5\n1.5\n")
+        with pytest.raises(SpectrumError, match="exhausted below threshold 10.0"):
+            explicit_spectrum([0.5, 1.5]).neighbours(10.0)
+        # -gamma = 15/4 lies past the list at (n, alpha) = (3, 6)
+        assert main(["constant", "--n", "3", "--alpha=6", "--domain", f"file:{path}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "spectrum exhausted below threshold 15/4" in captured.err
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(2, 12),
+           x=st.one_of(st.fractions(min_value=-3, max_value=500),
+                       st.floats(min_value=-3, max_value=500),
+                       st.integers(-3, 500)))
+    @example(n=3, x=Fraction(2))
+    @example(n=2, x=0)
+    def test_sphere_matches_listing(self, n, x):
+        listed = full_sphere_spectrum(n).lowest(40)
+        below = max((v for v in listed if v < x), default=None)
+        above = min(v for v in listed if v >= x)
+        assert full_sphere_spectrum(n).neighbours(x) == (below, above)
+
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_sphere_exact_far_up(self, n):
+        # k(n-2+k) at k = 10^9 and its rational neighbourhood, without a listing
+        spec = full_sphere_spectrum(n)
+        k = 10**9
+        entry = lambda j: j * (n - 2 + j)
+        hair = Fraction(1, 10**30)
+        assert spec.neighbours(entry(k)) == (entry(k - 1), entry(k))
+        assert spec.neighbours(entry(k) - hair) == (entry(k - 1), entry(k))
+        assert spec.neighbours(entry(k) + hair) == (entry(k), entry(k + 1))
+        # a float entry compares exactly (10^9 is a multiple of the float spacing 2^7)
+        assert spec.neighbours(float(entry(k))) == (entry(k - 1), entry(k))
+
+    @settings(max_examples=200, deadline=None)
+    @given(length=st.floats(min_value=0.05, max_value=6.28),
+           x=st.floats(min_value=0, max_value=2e4))
+    def test_arc_bit_identical_to_listing(self, length, x):
+        spec = arc_spectrum(length)
+        k = int(length * np.sqrt(x) / np.pi) + 3
+        listed = spec.lowest(k)
+        below = max((v for v in listed if v < x), default=None)
+        above = min(v for v in listed if v >= x)
+        assert spec.neighbours(x) == (below, above)
+        # and at every entry
+        assert spec.neighbours(listed[-1]) == (listed[-2] if k > 1 else None, listed[-1])
 
 
 class TestSpectrumFor:
     def test_dispatch(self):
         assert spectrum_for(DomainSpec.sphere(), 3).is_full_sphere
         assert spectrum_for(DomainSpec.arc(np.pi), 2).lambda_min == 1.0
-        assert spectrum_for(DomainSpec.explicit([1.0]), 4).eigenvalues == [1.0]
-        cap = spectrum_for(DomainSpec.cap(np.pi / 2), 3, count=1)
+        assert spectrum_for(DomainSpec.explicit([1.0]), 4).lowest(3) == [1.0]
+        cap = spectrum_for(DomainSpec.cap(np.pi / 2), 3)
         assert cap.lambda_min == pytest.approx(2.0, rel=1e-6)
 
     def test_arc_needs_dimension_two(self):

@@ -6,9 +6,8 @@ Subcommands:
 * ``scan``: sweep alpha, emit rows as CSV/JSON/table (optionally with a
   numeric estimate per row).
 * ``spectrum``: print the lowest eigenvalues of a domain.
-* ``verify``: run a verification suite; exit 0 iff everything passes.
-* ``transform-check``: x-space vs cylinder quotient discrepancies on the
-  corpus.
+* ``verify``: run a verification suite at its fixed resolutions and
+  tolerances; exit 0 iff everything passes.
 
 Domains are given as ``sphere``, ``cap:THETA0``, ``arc:LENGTH``, or
 ``file:PATH`` (explicit eigenvalues, one per line).  Exit codes: 0 success,
@@ -16,9 +15,11 @@ Domains are given as ``sphere``, ``cap:THETA0``, ``arc:LENGTH``, or
 failure, 4 numerical-resolution failure (a discretization that did not
 converge or an eigensolver breakdown).
 
-``verify`` and ``transform-check`` import their modules when they run, so
-the other subcommands load numpy and scipy only for cap domains and
-``scan --with-numeric``.
+``verify`` imports its modules when it runs, so the other subcommands load
+numpy and scipy only for cap domains and ``scan --with-numeric``.  The
+config file (``--config`` or ``$RELLICH_CONE_CONFIG``) sets the resolution
+of ``scan --with-numeric`` only; every subcommand still rejects a bad one
+with exit 2.
 """
 
 from __future__ import annotations
@@ -134,29 +135,8 @@ def cmd_spectrum(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import run_suite
 
-    cfg = resolve_config(args.config)
-    failures = run_suite(args.suite, cfg)
-    return EXIT_OK if failures == 0 else EXIT_FAIL
-
-
-def cmd_transform_check(args) -> int:
-    from .corpus import load_corpus
-    from .cylinder import xspace_equivalence_check
-
-    cfg = resolve_config(args.config)
-    entries = load_corpus(args.corpus)
-    worst = 0.0
-    failures = 0
-    for entry in entries:
-        p = derive(entry.function.n, entry.alpha)
-        disc = xspace_equivalence_check(entry.function, p)
-        worst = max(worst, disc)
-        ok = disc <= cfg.equivalence_tol
-        if not ok:
-            failures += 1
-        print(f"{'PASS' if ok else 'FAIL'} {entry.name}: discrepancy {disc:.3e}")
-    print(f"done: {len(entries)} functions, worst {worst:.3e}, "
-          f"tolerance {cfg.equivalence_tol:g}")
+    resolve_config(args.config)  # a bad config file still exits 2
+    failures = run_suite(args.suite)
     return EXIT_OK if failures == 0 else EXIT_FAIL
 
 
@@ -207,11 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=VERIFY_SUITES + ("all",))
     p_verify.set_defaults(fn=cmd_verify)
-
-    p_tc = sub.add_parser("transform-check",
-                          help="x-space vs cylinder quotient on the corpus")
-    p_tc.add_argument("--corpus", default=None, help="corpus file (default: shipped)")
-    p_tc.set_defaults(fn=cmd_transform_check)
 
     return parser
 

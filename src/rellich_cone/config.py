@@ -1,15 +1,16 @@
-"""Runtime configuration: defaults, key-value config file, precedence.
+"""Runtime configuration of the numeric scan: defaults, config file, precedence.
 
 Configuration precedence is flags > config file > defaults.  The config
 file is plain text, one ``key = value`` per line, ``#`` comments allowed::
 
-    # resolution of the mode eigensolver
-    mode_L = 100
-    mode_N = 8000
+    # resolution of scan --with-numeric
+    scan_L = 100
+    scan_N = 4000
     k_max = 6
 
 The default file path comes from the ``RELLICH_CONE_CONFIG`` environment
-variable when set.
+variable when set.  Verification runs at fixed resolutions and tolerances
+(see :mod:`rellich_cone.verify`), so no key here changes its outcome.
 """
 
 from __future__ import annotations
@@ -28,34 +29,22 @@ VERIFY_SUITES = ("constants", "lemmas", "equivalence", "radial", "witnesses", "s
 
 @dataclass(frozen=True)
 class Config:
-    """Tunable resolutions and tolerances.
+    """Resolution of the per-row numeric estimate of ``scan --with-numeric``.
 
-    mode_L / mode_N: truncation half-length and interior point count of the
-    per-mode eigensolver at full resolution (verification suites).
-    scan_L / scan_N: the same for the per-row sweeps of the scan command.
-    k_max: highest spherical-harmonic degree probed by numeric sweeps.
-    step: cylinder quadrature step (minimum cell count still applies).
-    bound_tol: tolerance for comparisons against closed-form bounds.
-    equivalence_tol: contract for the x-space / cylinder agreement.
+    scan_L / scan_N: truncation half-length and interior point count of the
+    per-mode eigensolver.
+    k_max: highest spherical-harmonic degree probed.
     """
 
-    mode_L: float = 100.0
-    mode_N: int = 8000
     scan_L: float = 100.0
     scan_N: int = 4000
     k_max: int = 6
-    step: float = 0.025
-    bound_tol: float = 1e-3
-    equivalence_tol: float = 1e-6
 
     def __post_init__(self):
-        for name in ("mode_N", "scan_N"):
-            if not getattr(self, name) >= 3:
-                raise ValueError(f"config {name} must be >= 3, got {getattr(self, name)}")
-        for name in ("mode_L", "scan_L", "step", "bound_tol", "equivalence_tol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"config {name} must be finite and > 0, got {value}")
+        if not self.scan_N >= 3:
+            raise ValueError(f"config scan_N must be >= 3, got {self.scan_N}")
+        if not (math.isfinite(self.scan_L) and self.scan_L > 0):
+            raise ValueError(f"config scan_L must be finite and > 0, got {self.scan_L}")
         if not self.k_max >= 0:
             raise ValueError(f"config k_max must be >= 0, got {self.k_max}")
 

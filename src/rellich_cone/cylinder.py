@@ -283,13 +283,18 @@ def cylinder_quotient(
     return QuotientResult(numerator=num, denominator=den, ratio=num / den, grid_meta=meta)
 
 
+#: contract of :func:`xspace_equivalence_check` for analytic profiles
+EQUIVALENCE_TOL = 1e-6
+
+
 def xspace_equivalence_check(u, p: Params, spectrum: Spectrum | None = None) -> float:
     """Relative discrepancy between the x-space and cylinder quotients.
 
     Computes the quotient of weighted integrals directly in x-space
     (Gauss-Legendre in log radius) and again on the cylinder after the
     change of variables, and returns |q_x - q_cyl| / max(q_x, q_cyl).
-    Contract: <= 1e-6 at the default resolutions for analytic profiles.
+    Contract: <= EQUIVALENCE_TOL (1e-6) at the default resolutions for
+    analytic profiles.
     """
     from .xspace import weighted_integrals
 

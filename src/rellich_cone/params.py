@@ -111,7 +111,13 @@ def derive(n, alpha) -> Params:
     else:
         raise TypeError(f"alpha must be a real number, got {alpha!r}")
     gamma = (n - 4 + a) * (n - a) / 4
-    h = ((n - 4 + a) / 2) ** 2
+    try:
+        h = ((n - 4 + a) / 2) ** 2
+    except OverflowError:  # only a float alpha; the float report fields cannot hold it
+        raise ValueError(
+            f"alpha = {alpha!r} is too large: h = ((n - 4 + alpha)/2)^2 exceeds the double "
+            "range (about 1.8e308)"
+        ) from None
     return Params(n=n, alpha=a, gamma=gamma, h=h, A=a - 2, B=gamma, C=h)
 
 

@@ -13,21 +13,24 @@ Each check returns a :class:`CheckResult`; suites bundle related checks:
 * ``spectra``: hemisphere exactness, arc closed forms, cap monotonicity.
 
 Randomized checks draw from fixed-seed generators, so every run is
-reproducible.
+reproducible.  Resolutions and tolerances are fixed too (``ModeProblem``'s
+default grid, ``modes.BOUND_TOL``, ``cylinder.EQUIVALENCE_TOL``): no
+configuration reaches a check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
-from .config import VERIFY_SUITES, Config
+from .config import VERIFY_SUITES
 from .corpus import load_corpus
-from .cylinder import xspace_equivalence_check
+from .cylinder import EQUIVALENCE_TOL, xspace_equivalence_check
 from .errors import NoWitnessError
 from .modes import (
+    BOUND_TOL,
     ModeProblem,
     drift_bound_check,
     minimize_mode,
@@ -123,22 +126,19 @@ _MODE_CLOSED_FORMS = (
 )
 
 
-def _mode_minimization_checks(cfg: Config) -> list[CheckResult]:
+def _mode_minimization_checks() -> list[CheckResult]:
     """Discrete minima against closed forms, with truncation refinement."""
     out = []
     for lam, Bl, Cl, target in _MODE_CLOSED_FORMS:
-        coarse = minimize_mode(ModeProblem(A=-2.0, Bl=Bl, Cl=Cl, L=cfg.mode_L, N=cfg.mode_N))
-        fine = minimize_mode(
-            ModeProblem(A=-2.0, Bl=Bl, Cl=Cl, L=2 * cfg.mode_L, N=2 * cfg.mode_N)
-        )
-        d_coarse = abs(coarse.value - target)
-        d_fine = abs(fine.value - target)
+        prob = ModeProblem(A=-2.0, Bl=Bl, Cl=Cl)  # the solver's default grid
+        d_coarse = abs(minimize_mode(prob).value - target)
+        d_fine = abs(minimize_mode(replace(prob, L=2 * prob.L, N=2 * prob.N)).value - target)
         ratio = d_coarse / d_fine if d_fine > 0 else float("inf")
         ok = d_coarse <= 1e-3 and ratio >= 3.0
         out.append(_check(
             f"mode-min/(3,0,lambda={lam})",
             ok,
-            f"defect {d_coarse:.3e} at L={cfg.mode_L:g}, "
+            f"defect {d_coarse:.3e} at L={prob.L:g}, "
             f"refinement ratio {ratio:.2f}",
         ))
     return out
@@ -162,7 +162,7 @@ def _scaling_rate_checks() -> list[CheckResult]:
     return out
 
 
-def _strip_scan_checks(cfg: Config) -> list[CheckResult]:
+def _strip_scan_checks() -> list[CheckResult]:
     """Rows in the open strip (4-n, threshold bound) must stay uncertified.
 
     The true constant is an open question there; the only relation the
@@ -174,11 +174,11 @@ def _strip_scan_checks(cfg: Config) -> list[CheckResult]:
     alphas = scan_alphas(-0.9, -0.15, 0.25)
     assert all(lo < a < hi for a in alphas)
     spectrum = full_sphere_spectrum(n)
-    rows = list(compute_scan_rows(n, alphas, spectrum, with_numeric=True, cfg=cfg))
+    rows = list(compute_scan_rows(n, alphas, spectrum, with_numeric=True))
     all_uncertified = all(not r.certified for r in rows)
     relation = all(
         r.numeric_delta is not None and r.M is not None
-        and r.numeric_delta <= r.M + cfg.bound_tol
+        and r.numeric_delta <= r.M + BOUND_TOL
         for r in rows
     )
     margin = max(r.numeric_delta - r.M for r in rows)
@@ -190,19 +190,14 @@ def _strip_scan_checks(cfg: Config) -> list[CheckResult]:
     out.append(_check(
         "strip/numeric-vs-M",
         relation,
-        f"max(numeric_delta - M) = {margin:.3e} <= tol {cfg.bound_tol:g}",
+        f"max(numeric_delta - M) = {margin:.3e} <= tol {BOUND_TOL:g}",
     ))
     return out
 
 
-def constants_suite(cfg: Config) -> list[CheckResult]:
-    out = []
-    out += _exact_table_checks()
-    out += _knife_edge_checks()
-    out += _mode_minimization_checks(cfg)
-    out += _scaling_rate_checks()
-    out += _strip_scan_checks(cfg)
-    return out
+def constants_suite() -> list[CheckResult]:
+    return (_exact_table_checks() + _knife_edge_checks() + _mode_minimization_checks()
+            + _scaling_rate_checks() + _strip_scan_checks())
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +224,7 @@ def _drift_instances(rng, count):
             yield A, Bl, Cl
 
 
-def lemma_suite(cfg: Config, window_count=200, drift_count=200, phi_count=100) -> list[CheckResult]:
+def lemma_suite(window_count=200, drift_count=200, phi_count=100) -> list[CheckResult]:
     out = []
     grid = dict(L=40.0, N=3200)  # truncation only raises the discrete minimum
 
@@ -237,7 +232,7 @@ def lemma_suite(cfg: Config, window_count=200, drift_count=200, phi_count=100) -
     failures = []
     for A, Bl, Cl in _window_instances(rng, window_count):
         prob = ModeProblem(A=A, Bl=Bl, Cl=Cl, **grid)
-        if not window_bound_check(prob, tol=cfg.bound_tol):
+        if not window_bound_check(prob):
             failures.append((A, Bl, Cl))
     out.append(_check(
         "lemmas/window-bound",
@@ -250,7 +245,7 @@ def lemma_suite(cfg: Config, window_count=200, drift_count=200, phi_count=100) -
     failures = []
     for A, Bl, Cl in _drift_instances(rng, drift_count):
         prob = ModeProblem(A=A, Bl=Bl, Cl=Cl, **grid)
-        if not drift_bound_check(prob, tol=cfg.bound_tol):
+        if not drift_bound_check(prob):
             failures.append((A, Bl, Cl))
     out.append(_check(
         "lemmas/drift-bound",
@@ -287,15 +282,15 @@ def lemma_suite(cfg: Config, window_count=200, drift_count=200, phi_count=100) -
 # ---------------------------------------------------------------------------
 
 
-def equivalence_suite(cfg: Config) -> list[CheckResult]:
+def equivalence_suite() -> list[CheckResult]:
     out = []
     for entry in load_corpus():
         p = derive(entry.function.n, entry.alpha)
         disc = xspace_equivalence_check(entry.function, p)
         out.append(_check(
             f"equivalence/{entry.name}",
-            disc <= cfg.equivalence_tol,
-            f"relative discrepancy {disc:.3e} (tol {cfg.equivalence_tol:g})",
+            disc <= EQUIVALENCE_TOL,
+            f"relative discrepancy {disc:.3e} (tol {EQUIVALENCE_TOL:g})",
         ))
     return out
 
@@ -304,7 +299,7 @@ RADIAL_DIMENSIONS = (2, 3, 4, 5, 6, 7, 8)
 RADIAL_ALPHAS = (-1.0, 0.0, 1.0, 2.5)
 
 
-def radial_suite(cfg: Config) -> list[CheckResult]:
+def radial_suite() -> list[CheckResult]:
     out = []
     profiles = [(e.name, e.function.profile) for e in load_corpus() if e.mode == 0]
     worst_defect = 0.0
@@ -331,7 +326,7 @@ def radial_suite(cfg: Config) -> list[CheckResult]:
     return out
 
 
-def witness_suite(cfg: Config) -> list[CheckResult]:
+def witness_suite() -> list[CheckResult]:
     out = []
     for (n, alpha, certified) in ((3, 0.0, 25 / 36), (4, 0.0, 3.0)):
         w = symmetry_breaking_witness(n, alpha)
@@ -359,7 +354,7 @@ def witness_suite(cfg: Config) -> list[CheckResult]:
     return out
 
 
-def spectra_suite(cfg: Config) -> list[CheckResult]:
+def spectra_suite() -> list[CheckResult]:
     out = []
     for n in (3, 4, 5):
         spec = cap_spectrum(n, np.pi / 2)
@@ -406,24 +401,20 @@ SUITES = dict(zip(VERIFY_SUITES, (constants_suite, lemma_suite, equivalence_suit
 SUITE_NAMES = tuple(SUITES) + ("all",)
 
 
-def suite_checks(name: str, cfg: Config | None = None) -> list[CheckResult]:
-    cfg = cfg or Config()
+def suite_checks(name: str) -> list[CheckResult]:
     if name == "all":
-        results = []
-        for suite in SUITES.values():
-            results.extend(suite(cfg))
-        return results
+        return [res for suite in SUITES.values() for res in suite()]
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    return SUITES[name](cfg)
+    return SUITES[name]()
 
 
-def run_suite(name: str, cfg: Config | None = None, stream=None) -> int:
+def run_suite(name: str, stream=None) -> int:
     """Run a suite, print one PASS/FAIL line per check, return failure count."""
     import sys
 
     stream = stream or sys.stdout
-    results = suite_checks(name, cfg)
+    results = suite_checks(name)
     failures = 0
     for res in results:
         status = "PASS" if res.ok else "FAIL"

@@ -1,8 +1,9 @@
 """Acceptance criteria, one test per criterion.
 
-Each test runs the corresponding verification checks at their stated
-tolerances and prints one PASS/FAIL line per check (visible with -s).
-Criteria summary:
+Each test runs the corresponding verification checks at their fixed
+resolutions and tolerances (module constants of ``verify``, ``modes`` and
+``cylinder``; no configuration reaches them) and prints one PASS/FAIL line
+per check (visible with -s).  Criteria summary:
 
  1. exact constants table (rational arithmetic, zero tolerance)
  2. positivity knife-edge (exact membership, no tolerance)
@@ -13,10 +14,9 @@ Criteria summary:
  7. symmetry-breaking witnesses and the no-witness certificate
  8. 200 + 200 randomized bound instances within 1e-3; certificate positive
  9. spectra: hemisphere within 1e-5 relative, arcs exact, cap monotone
-10. uncertified-strip rows labeled Uncertified; only numeric <= M + tol
+10. uncertified-strip rows labeled Uncertified; only numeric <= M + 1e-3
 """
 
-from rellich_cone.config import Config
 from rellich_cone.verify import (
     _exact_table_checks,
     _knife_edge_checks,
@@ -29,8 +29,6 @@ from rellich_cone.verify import (
     spectra_suite,
     witness_suite,
 )
-
-CFG = Config()
 
 
 def _assert_all(results, criterion):
@@ -50,7 +48,7 @@ def test_criterion_02_positivity_knife_edge():
 
 
 def test_criterion_03_mode_minimization_matches_closed_forms():
-    _assert_all(_mode_minimization_checks(CFG), 3)
+    _assert_all(_mode_minimization_checks(), 3)
 
 
 def test_criterion_04_scaling_family_rate():
@@ -58,24 +56,24 @@ def test_criterion_04_scaling_family_rate():
 
 
 def test_criterion_05_change_of_variables_equivalence():
-    _assert_all(equivalence_suite(CFG), 5)
+    _assert_all(equivalence_suite(), 5)
 
 
 def test_criterion_06_radial_identity():
-    _assert_all(radial_suite(CFG), 6)
+    _assert_all(radial_suite(), 6)
 
 
 def test_criterion_07_symmetry_breaking_witnesses():
-    _assert_all(witness_suite(CFG), 7)
+    _assert_all(witness_suite(), 7)
 
 
 def test_criterion_08_randomized_bound_instances():
-    _assert_all(lemma_suite(CFG), 8)
+    _assert_all(lemma_suite(), 8)
 
 
 def test_criterion_09_spectra():
-    _assert_all(spectra_suite(CFG), 9)
+    _assert_all(spectra_suite(), 9)
 
 
 def test_criterion_10_uncertified_strip():
-    _assert_all(_strip_scan_checks(CFG), 10)
+    _assert_all(_strip_scan_checks(), 10)

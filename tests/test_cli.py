@@ -125,6 +125,28 @@ class TestConstant:
         assert data["attained_lambda"] == float(best)
         assert data["positive"] is True
 
+    @pytest.mark.parametrize("n, alpha, domain", [
+        ("3", "1e200", "sphere"), ("3", "-1e200", "sphere"), ("2", "1e160", "arc:1.0"),
+        ("3", "1e200", "file"),
+    ])
+    def test_alpha_past_double_range_exit_2(self, capsys, tmp_path, n, alpha, domain):
+        # h = ((n - 4 + alpha)/2)^2 and the float report fields overflow
+        if domain == "file":
+            path = tmp_path / "spec.txt"
+            path.write_text("0.5\n2.5\n")
+            domain = f"file:{path}"
+        code, out, err = run_cli(capsys, "constant", "--n", n, f"--alpha={alpha}",
+                                 "--domain", domain)
+        assert code == 2
+        assert out == "" and "Traceback" not in err
+        assert f"alpha = {float(alpha)!r}" in err and "double range" in err
+
+    def test_alpha_inside_double_range_answers(self, capsys):
+        code, out, _ = run_cli(capsys, "constant", "--n", "3", "--alpha=1e150",
+                               "--format", "json")
+        assert code == 0
+        assert json.loads(out)["M"] == 0.5
+
     def test_bad_domain_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "constant", "--n", "3", "--alpha", "0",
                                "--domain", "cube:1")
@@ -358,11 +380,28 @@ class TestVerifyCommand:
 
         monkeypatch.setitem(
             verify_mod.SUITES, "radial",
-            lambda cfg: [CheckResult("radial/forced", False, "injected failure")],
+            lambda: [CheckResult("radial/forced", False, "injected failure")],
         )
         code, out, _ = run_cli(capsys, "verify", "radial")
         assert code == 1
         assert "FAIL radial/forced" in out
+
+    def test_transform_check_removed_exit_2(self, capsys):
+        # verify equivalence runs the same check on the same corpus
+        with pytest.raises(SystemExit) as err:
+            main(["transform-check"])
+        assert err.value.code == 2
+        assert "invalid choice: 'transform-check'" in capsys.readouterr().err
+
+    def test_config_cannot_change_verify(self, capsys, tmp_path, monkeypatch):
+        # verify runs at fixed resolutions, whatever scan configuration is in effect
+        _, plain, _ = run_cli(capsys, "verify", "constants")
+        path = tmp_path / "cfg.txt"
+        path.write_text("scan_L = 30\nscan_N = 800\nk_max = 2\n")
+        monkeypatch.setenv("RELLICH_CONE_CONFIG", str(path))
+        code, out, _ = run_cli(capsys, "verify", "constants")
+        assert code == 0
+        assert out == plain
 
     def test_suite_registry(self):
         from rellich_cone.verify import SUITE_NAMES, suite_checks
@@ -381,27 +420,20 @@ class TestVerifyCommand:
         assert tuple(suite.choices) == tuple(verify_mod.SUITES) + ("all",)
 
 
-class TestTransformCheckCommand:
-    def test_default_corpus(self, capsys):
-        code, out, _ = run_cli(capsys, "transform-check")
-        assert code == 0
-        assert out.count("PASS") == 12
-
-
 class TestConfig:
     def test_defaults(self):
         cfg = Config()
-        assert cfg.mode_L == 100.0 and cfg.mode_N == 8000
+        assert (cfg.scan_L, cfg.scan_N, cfg.k_max) == (100.0, 4000, 6)
 
     def test_load_and_precedence(self, tmp_path):
         path = tmp_path / "cfg.txt"
-        path.write_text("# comment\nmode_L = 50\nk_max = 3\n")
-        assert load_config(path) == {"mode_L": 50.0, "k_max": 3}
+        path.write_text("# comment\nscan_L = 50\nk_max = 3\n")
+        assert load_config(path) == {"scan_L": 50.0, "k_max": 3}
         cfg = resolve_config(path)
-        assert cfg.mode_L == 50.0 and cfg.k_max == 3
+        assert cfg.scan_L == 50.0 and cfg.k_max == 3
         # explicit overrides beat the file
-        cfg2 = resolve_config(path, {"mode_L": 75.0, "k_max": None})
-        assert cfg2.mode_L == 75.0 and cfg2.k_max == 3
+        cfg2 = resolve_config(path, {"scan_L": 75.0, "k_max": None})
+        assert cfg2.scan_L == 75.0 and cfg2.k_max == 3
 
     def test_env_var_default(self, tmp_path, monkeypatch):
         path = tmp_path / "cfg.txt"
@@ -416,9 +448,8 @@ class TestConfig:
             load_config(path)
 
     @pytest.mark.parametrize("key, value", [
-        ("mode_N", 2), ("scan_N", 0), ("mode_L", 0.0), ("scan_L", float("inf")),
-        ("step", -0.1), ("bound_tol", float("nan")), ("equivalence_tol", 0.0),
-        ("k_max", -1),
+        ("scan_N", 2), ("scan_N", 0), ("scan_L", 0.0), ("scan_L", float("inf")),
+        ("scan_L", float("nan")), ("k_max", -1),
     ])
     def test_out_of_range_value_rejected(self, key, value):
         with pytest.raises(ValueError, match=key):
@@ -433,6 +464,16 @@ class TestConfig:
         assert code == 2
         assert out == "" and "unknown config key 'spectrum_count'" in err
 
+    @pytest.mark.parametrize("key", ["step", "mode_L", "mode_N", "bound_tol",
+                                     "equivalence_tol"])
+    def test_removed_key_exit_2(self, capsys, tmp_path, key):
+        # verify runs at fixed resolutions and tolerances; a file cannot loosen them
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"{key} = 1e9\n")
+        code, out, err = run_cli(capsys, "--config", str(path), "verify", "equivalence")
+        assert code == 2
+        assert out == "" and f"unknown config key {key!r}" in err
+
     def test_out_of_range_file_value_exit_2(self, capsys, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("scan_N = 2\n")
@@ -444,7 +485,7 @@ class TestConfig:
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "cfg.txt"
-        path.write_text("mode_L\n")
+        path.write_text("scan_L\n")
         with pytest.raises(ValueError):
             load_config(path)
 

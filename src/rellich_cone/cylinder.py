@@ -14,10 +14,14 @@ forms of the inequality reduce to one-dimensional integrals
 
 with A = alpha - 2, B = gamma, C = h; the angular factor integrates to a
 common constant that cancels in the ratio and is carried symbolically.
-This module evaluates N, D, and the ratio by composite trapezoid
-quadrature, using analytic profile derivatives when the profile carries
-them and second-order central differences for sampled profiles, and checks
-numerically that the x-space quotient and the cylinder quotient agree.
+The exponents of the two directions are fixed here, in :func:`to_cylinder`
+and :func:`from_cylinder`; the profile map itself is the pair
+``TransformedProfile``/``InverseTransformedProfile`` of
+:mod:`rellich_cone.profiles`.  This module evaluates N, D, and the ratio
+by composite trapezoid quadrature, using analytic profile derivatives when
+the profile carries them and second-order central differences for sampled
+profiles, and checks numerically that the x-space quotient and the
+cylinder quotient agree.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 
 from .errors import RellichConeError
 from .params import Params
-from .profiles import SampledLineProfile
+from .profiles import InverseTransformedProfile, SampledLineProfile, TransformedProfile
 from .spectra import Spectrum
 
 __all__ = [
@@ -47,81 +51,13 @@ __all__ = [
 #: quadrature error far below the 1e-6 x-space equivalence contract
 MIN_CELLS = 512
 
+#: largest cell width of the analytic-profile grid (wide supports get more
+#: than MIN_CELLS cells)
+STEP = 0.025
+
 #: zero cells appended on each side so second differences are well defined
 #: at the support edge (discrete analogue of compact support)
 PAD_CELLS = 2
-
-
-class TransformedProfile:
-    """Line profile g(s) = e^(-q s) R(e^(-s)) obtained from a radial profile.
-
-    q = (n - 4 + alpha)/2.  Derivatives follow from the chain rule:
-
-        g'  = e^(-qs) [-q R - r R'],
-        g'' = e^(-qs) [q^2 R + (2q + 1) r R' + r^2 R''],   r = e^(-s).
-    """
-
-    def __init__(self, radial, q: float):
-        self.radial = radial
-        self.q = float(q)
-
-    @property
-    def support(self):
-        r_lo, r_hi = self.radial.support
-        return (-math.log(r_hi), -math.log(r_lo))
-
-    def value(self, s):
-        s = np.asarray(s, dtype=float)
-        r = np.exp(-s)
-        return np.exp(-self.q * s) * self.radial.value(r)
-
-    def d1(self, s):
-        s = np.asarray(s, dtype=float)
-        r = np.exp(-s)
-        return np.exp(-self.q * s) * (-self.q * self.radial.value(r) - r * self.radial.d1(r))
-
-    def d2(self, s):
-        s = np.asarray(s, dtype=float)
-        r = np.exp(-s)
-        return np.exp(-self.q * s) * (
-            self.q**2 * self.radial.value(r)
-            + (2 * self.q + 1) * r * self.radial.d1(r)
-            + r * r * self.radial.d2(r)
-        )
-
-
-class InverseTransformedProfile:
-    """Radial profile R(r) = r^p g(-log r) recovered from a line profile.
-
-    p = (4 - n - alpha)/2 is the inverse prefactor exponent.
-    """
-
-    def __init__(self, line, p: float):
-        self.line = line
-        self.p = float(p)
-
-    @property
-    def support(self):
-        s_lo, s_hi = self.line.support
-        return (math.exp(-s_hi), math.exp(-s_lo))
-
-    def value(self, r):
-        r = np.asarray(r, dtype=float)
-        return r**self.p * self.line.value(-np.log(r))
-
-    def d1(self, r):
-        r = np.asarray(r, dtype=float)
-        s = -np.log(r)
-        return r ** (self.p - 1) * (self.p * self.line.value(s) - self.line.d1(s))
-
-    def d2(self, r):
-        r = np.asarray(r, dtype=float)
-        s = -np.log(r)
-        return r ** (self.p - 2) * (
-            self.p * (self.p - 1) * self.line.value(s)
-            - (2 * self.p - 1) * self.line.d1(s)
-            + self.line.d2(s)
-        )
 
 
 @dataclass
@@ -140,10 +76,6 @@ class CylinderFunction:
     @property
     def support(self):
         return self.profile.support
-
-    @property
-    def analytic(self) -> bool:
-        return not isinstance(self.profile, SampledLineProfile) and hasattr(self.profile, "d2")
 
     def validate_mode(self, spectrum: Spectrum, tol: float = 1e-9):
         """Check that the angular eigenvalue exists in ``spectrum``."""
@@ -172,7 +104,8 @@ class QuotientResult:
 def to_cylinder(u, p: Params) -> CylinderFunction:
     """Transform a separable x-space function to the cylinder.
 
-    ``u`` is an :class:`~rellich_cone.xspace.XTestFunction`.  The profile of
+    ``u`` is an :class:`~rellich_cone.xspace.XTestFunction`, so its support
+    lies in (0, inf).  The profile of
     the result is g(s) = r^((n-4+alpha)/2) R(r) at r = e^(-s); at the
     critical exponent alpha = 4 - n the prefactor is identically 1.
     Rejects profiles that fail to vanish at their support boundary (the
@@ -181,8 +114,6 @@ def to_cylinder(u, p: Params) -> CylinderFunction:
     if u.n != p.n:
         raise ValueError(f"dimension mismatch: function has n={u.n}, params n={p.n}")
     r_lo, r_hi = u.profile.support
-    if not (0 < r_lo < r_hi < math.inf):
-        raise ValueError(f"support must satisfy 0 < r_min < r_max < inf, got ({r_lo}, {r_hi})")
     interior = np.exp(np.linspace(math.log(r_lo), math.log(r_hi), 65)[1:-1])
     scale = float(np.max(np.abs(u.profile.value(interior))))
     if scale == 0:
@@ -200,7 +131,7 @@ def to_cylinder(u, p: Params) -> CylinderFunction:
 
 def from_cylinder(w: CylinderFunction, p: Params):
     """Inverse transform: back to a separable x-space function."""
-    from .xspace import XTestFunction  # local import to keep the dependency one-way
+    from .xspace import XTestFunction  # local: xspace imports this module
 
     q = (4 - p.n - float(p.alpha)) / 2.0
     return XTestFunction(
@@ -211,31 +142,27 @@ def from_cylinder(w: CylinderFunction, p: Params):
     )
 
 
-def _grid_arrays(w: CylinderFunction, step: float, min_cells: int, pad: int):
+def _grid_arrays(profile):
     """Evaluate (s, g, g', g'') on a support-anchored padded uniform grid."""
-    if isinstance(w.profile, SampledLineProfile):
-        prof = w.profile
-        d = prof.step
-        g_core = prof.samples
-        s0 = prof.s0
-        n_core = g_core.size
-        g = np.zeros(n_core + 2 * pad)
-        g[pad : pad + n_core] = g_core
-        s = s0 + (np.arange(g.size) - pad) * d
+    pad = PAD_CELLS
+    if isinstance(profile, SampledLineProfile):
+        d = profile.step
+        g = np.pad(profile.samples, pad)
+        s = profile.s0 + (np.arange(g.size) - pad) * d
         g1 = np.zeros_like(g)
         g2 = np.zeros_like(g)
         g1[1:-1] = (g[2:] - g[:-2]) / (2 * d)
         g2[1:-1] = (g[2:] - 2 * g[1:-1] + g[:-2]) / d**2
         how = "central-fd"
     else:
-        s_lo, s_hi = w.support
+        s_lo, s_hi = profile.support
         width = s_hi - s_lo
-        cells = max(min_cells, int(math.ceil(width / step)))
+        cells = max(MIN_CELLS, int(math.ceil(width / STEP)))
         d = width / cells
         s = s_lo + (np.arange(cells + 1 + 2 * pad) - pad) * d
-        g = w.profile.value(s)
-        g1 = w.profile.d1(s)
-        g2 = w.profile.d2(s)
+        g = profile.value(s)
+        g1 = profile.d1(s)
+        g2 = profile.d2(s)
         how = "analytic"
     return s, d, g, g1, g2, how
 
@@ -244,8 +171,6 @@ def cylinder_quotient(
     w: CylinderFunction,
     p: Params,
     lam: float | None = None,
-    step: float = 0.025,
-    min_cells: int = MIN_CELLS,
 ) -> QuotientResult:
     """Evaluate N, D, and N/D for a separable cylinder function.
 
@@ -253,8 +178,8 @@ def cylinder_quotient(
     contributes -lambda g and the angular gradient energy contributes
     lambda * integral g^2, so both forms are one-dimensional.  Integrals
     use the composite trapezoid rule on a support-anchored uniform grid
-    (at least ``min_cells`` cells across the support), with two zero cells
-    of padding on each side.
+    (at least MIN_CELLS cells across the support, none wider than STEP),
+    with two zero cells of padding on each side.
     """
     if lam is None:
         lam = w.eigenvalue
@@ -267,7 +192,7 @@ def cylinder_quotient(
     Bl = float(p.B) + lam
     Cl = float(p.C) + lam
 
-    s, d, g, g1, g2, how = _grid_arrays(w, step, min_cells, PAD_CELLS)
+    s, d, g, g1, g2, how = _grid_arrays(w.profile)
     num = float(np.trapezoid((g2 + A * g1 - Bl * g) ** 2, dx=d))
     den = float(np.trapezoid(g1**2 + Cl * g**2, dx=d))
     if den <= 0:
@@ -307,12 +232,6 @@ def xspace_equivalence_check(u, p: Params, spectrum: Spectrum | None = None) -> 
     return abs(q_x - q_c) / max(abs(q_x), abs(q_c))
 
 
-def _mode_list(v) -> list:
-    if isinstance(v, CylinderFunction):
-        return [(v.eigenvalue, v.profile)]
-    return [(float(lam), prof) for lam, prof in v]
-
-
 def poincare_xi(v) -> float:
     """Angular Rayleigh quotient xi = integral |grad_sigma v|^2 / integral |v|^2.
 
@@ -322,7 +241,9 @@ def poincare_xi(v) -> float:
     L^2-weighted mean of the eigenvalues, hence always >= the smallest
     positive eigenvalue of the domain (n - 1 on the full sphere).
     """
-    modes = _mode_list(v)
+    if isinstance(v, CylinderFunction):
+        v = [(v.eigenvalue, v.profile)]
+    modes = [(float(lam), prof) for lam, prof in v]
     if not modes:
         raise ValueError("no modes supplied")
     num = 0.0
@@ -332,8 +253,7 @@ def poincare_xi(v) -> float:
             raise ValueError(
                 f"zero angular mean requires strictly positive eigenvalues, got {lam}"
             )
-        w = CylinderFunction(profile=prof, eigenvalue=lam)
-        s, d, g, _, _, _ = _grid_arrays(w, 0.025, MIN_CELLS, PAD_CELLS)
+        s, d, g, _, _, _ = _grid_arrays(prof)
         mass = float(np.trapezoid(g**2, dx=d))
         num += lam * mass
         den += mass

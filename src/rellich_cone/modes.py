@@ -44,7 +44,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import blas, lapack
@@ -169,6 +168,15 @@ def _poles(A, Bl, Cl, N, dx):
     return ((u + Bl) ** 2 + sin2 * (A / dx) ** 2) / d, sin2 * (4.0 / (N + 1)) / d
 
 
+def _in_double_range(A, Bl, Cl, N, dx, P, D):
+    """Whether the band entries and a bound on every pole p_j / d_j are finite,
+    from scalars only: |alpha| near 1e154 overflows them."""
+    top = 4.0 / (dx * dx) + abs(Bl)  # >= |q_j / dx^2 + Bl|
+    lowest = Cl + math.sin(0.5 * math.pi / (N + 1)) ** 2 * (4.0 / (dx * dx))  # d_1
+    pole = (top * top + (A / dx) * (A / dx)) / lowest
+    return all(map(math.isfinite, (P[0, 0], P[1, 0], P[2, 0], D[0, 0], pole)))
+
+
 def _secular_root(lam, w, P2):
     """Bottom root of 1 + P2 sum_j w_j / (lam_j - mu) and a floor of the next one.
 
@@ -206,11 +214,13 @@ def _secular_root(lam, w, P2):
 def _solve_smallest(A, Bl, Cl, L, N):
     """Smallest generalized eigenpair of (T^t T) v = mu D v, its residual."""
     P, D, dx = _assemble(A, Bl, Cl, L, N)
+    where = f"(A={A}, Bl={Bl}, Cl={Cl}, L={L}, N={N})"
+    if not _in_double_range(A, Bl, Cl, N, dx, P, D):
+        raise SolverError(f"mode problem leaves the double range (about 1.8e308) {where}")
     lam, w = _poles(A, Bl, Cl, N, dx)
     s = np.linspace(-L + dx, L - dx, N)
     ones = np.ones(N)
     norm_P = float(_matvec(abs(P), ones).max())
-    where = f"(A={A}, Bl={Bl}, Cl={Cl}, L={L}, N={N})"
     try:
         (mu, above, antisymmetric), (other, _, _) = sorted(
             (*_secular_root(lam[j::2], w[j::2], float(P[2, 0])), j) for j in (0, 1))
@@ -337,21 +347,17 @@ def phi(p: Params, t):
     """Quadratic certificate for the drift hypothesis along the spectrum.
 
     phi(t) = (2t + (n-2)^2/2 + (alpha-2)^2/2)(t + h) - (t + gamma)^2
-    satisfies phi(0) = h^2 and phi'(0) = 2h + (alpha - 2)^2, hence is
-    strictly positive on t >= 0 whenever h > 0; and
+           = t^2 + (2h + (alpha-2)^2) t + h^2,
+
+    evaluated in the second form, which is positive by inspection on t >= 0
+    when h > 0 (the first cancels catastrophically near alpha = 4 - n); and
 
         A^2 + 2(B + t) - (B + t)^2/(C + t) = phi(t) / (h + t),
 
     so positivity of phi at an eigenvalue certifies the drift hypothesis
     there.  Exact when the inputs are rational.
     """
-    n = p.n
-    half = (
-        Fraction(1, 2) if isinstance(p.gamma, Fraction) and isinstance(t, (int, Fraction)) else 0.5
-    )
-    return (2 * t + half * (n - 2) ** 2 + half * (p.alpha - 2) ** 2) * (t + p.h) - (
-        t + p.gamma
-    ) ** 2
+    return t * t + (2 * p.h + p.A**2) * t + p.h**2
 
 
 def decompose_and_bound(modes, p: Params) -> float:

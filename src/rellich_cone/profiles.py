@@ -1,4 +1,4 @@
-"""Smooth compactly supported test profiles with analytic derivatives.
+"""Smooth compactly supported test profiles and the log-radial map.
 
 Every profile here is built from the standard bump
 
@@ -10,6 +10,11 @@ the support boundary.  Profiles come in two flavours:
 * line profiles ``g(s)`` used on the cylinder axis, and
 * radial profiles ``R(r)`` on (0, infinity) used in x-space, supported away
   from both the origin and infinity.
+
+The log-radial (Emden-Fowler) map s = -log r links the two; its one
+implementation is the pair :class:`TransformedProfile` (radial to line) and
+:class:`InverseTransformedProfile` (line to radial).  :class:`RadialLogBump`
+is the inverse map applied to a :class:`LineBump`.
 
 All profiles expose ``value``, ``d1``, ``d2`` (analytic first and second
 derivatives) and a ``support`` interval.  Derivatives are exact formulas,
@@ -30,44 +35,44 @@ __all__ = [
     "LineBump",
     "ScaledLineBump",
     "SampledLineProfile",
+    "TransformedProfile",
+    "InverseTransformedProfile",
     "RadialBump",
     "RadialLogBump",
     "DilatedRadialProfile",
 ]
 
 
-def bump(t):
-    """Standard bump b(t) = exp(-1/(1-t^2)) on (-1, 1), zero outside."""
+def _bump(t, order):
+    """b, b' or b'' (``order`` 0, 1 or 2) at t, zero outside (-1, 1)."""
     t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
     inside = np.abs(t) < 1.0
     ti = t[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - ti * ti))
+    w = 1.0 - ti * ti
+    b = np.exp(-1.0 / w)
+    if order == 1:
+        b = b * (-2.0 * ti / (w * w))
+    elif order == 2:
+        p1 = -2.0 * ti / (w * w)
+        b = b * (-2.0 / (w * w) - 8.0 * ti * ti / (w * w * w) + p1 * p1)
+    out[inside] = b
     return out
+
+
+def bump(t):
+    """Standard bump b(t) = exp(-1/(1-t^2)) on (-1, 1), zero outside."""
+    return _bump(t, 0)
 
 
 def bump_d1(t):
     """First derivative of the standard bump."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    inside = np.abs(t) < 1.0
-    ti = t[inside]
-    w = 1.0 - ti * ti
-    out[inside] = np.exp(-1.0 / w) * (-2.0 * ti / (w * w))
-    return out
+    return _bump(t, 1)
 
 
 def bump_d2(t):
     """Second derivative of the standard bump."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    inside = np.abs(t) < 1.0
-    ti = t[inside]
-    w = 1.0 - ti * ti
-    p1 = -2.0 * ti / (w * w)
-    p2 = -2.0 / (w * w) - 8.0 * ti * ti / (w * w * w)
-    out[inside] = np.exp(-1.0 / w) * (p2 + p1 * p1)
-    return out
+    return _bump(t, 2)
 
 
 @dataclass(frozen=True)
@@ -142,44 +147,109 @@ class SampledLineProfile:
 
 
 # ---------------------------------------------------------------------------
+# the log-radial map s = -log r
+# ---------------------------------------------------------------------------
+
+
+class TransformedProfile:
+    """Line profile g(s) = e^(-q s) R(e^(-s)) obtained from a radial profile.
+
+    ``cylinder.to_cylinder`` takes q = (n - 4 + alpha)/2.  Derivatives
+    follow from the chain rule:
+
+        g'  = e^(-qs) [-q R - r R'],
+        g'' = e^(-qs) [q^2 R + (2q + 1) r R' + r^2 R''],   r = e^(-s).
+    """
+
+    def __init__(self, radial, q: float):
+        self.radial = radial
+        self.q = float(q)
+
+    @property
+    def support(self):
+        r_lo, r_hi = self.radial.support
+        return (-math.log(r_hi), -math.log(r_lo))
+
+    def value(self, s):
+        s = np.asarray(s, dtype=float)
+        r = np.exp(-s)
+        return np.exp(-self.q * s) * self.radial.value(r)
+
+    def d1(self, s):
+        s = np.asarray(s, dtype=float)
+        r = np.exp(-s)
+        return np.exp(-self.q * s) * (-self.q * self.radial.value(r) - r * self.radial.d1(r))
+
+    def d2(self, s):
+        s = np.asarray(s, dtype=float)
+        r = np.exp(-s)
+        return np.exp(-self.q * s) * (
+            self.q**2 * self.radial.value(r)
+            + (2 * self.q + 1) * r * self.radial.d1(r)
+            + r * r * self.radial.d2(r)
+        )
+
+
+class InverseTransformedProfile:
+    """Radial profile R(r) = r^power g(-log r) recovered from a line profile.
+
+    ``cylinder.from_cylinder`` takes power = (4 - n - alpha)/2.  Derivatives
+    follow from the chain rule, with G = g(s) at s = -log r:
+
+        R'  = r^(p-1) [p G - G'],
+        R'' = r^(p-2) [p (p-1) G - (2p - 1) G' + G''],   p = power.
+    """
+
+    def __init__(self, line, power: float):
+        self.line = line
+        self.power = float(power)
+
+    @property
+    def support(self):
+        s_lo, s_hi = self.line.support
+        return (math.exp(-s_hi), math.exp(-s_lo))
+
+    def value(self, r):
+        r = np.asarray(r, dtype=float)
+        return r**self.power * self.line.value(-np.log(r))
+
+    def d1(self, r):
+        r = np.asarray(r, dtype=float)
+        s = -np.log(r)
+        p = self.power
+        return r ** (p - 1) * (p * self.line.value(s) - self.line.d1(s))
+
+    def d2(self, r):
+        r = np.asarray(r, dtype=float)
+        s = -np.log(r)
+        p = self.power
+        return r ** (p - 2) * (
+            p * (p - 1) * self.line.value(s) - (2 * p - 1) * self.line.d1(s) + self.line.d2(s)
+        )
+
+
+# ---------------------------------------------------------------------------
 # radial profiles (x-space)
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class RadialBump:
+class RadialBump(LineBump):
     """Radial profile R(r) = b((r - center)/width), supported in (0, inf)."""
 
-    center: float
-    width: float
-
     def __post_init__(self):
-        if not self.width > 0:
-            raise ValueError("width must be positive")
+        super().__post_init__()
         if not self.center - self.width > 0:
             raise ValueError("support must stay away from the origin")
 
-    @property
-    def support(self):
-        return (self.center - self.width, self.center + self.width)
-
-    def value(self, r):
-        return bump((np.asarray(r, dtype=float) - self.center) / self.width)
-
-    def d1(self, r):
-        return bump_d1((np.asarray(r, dtype=float) - self.center) / self.width) / self.width
-
-    def d2(self, r):
-        return bump_d2((np.asarray(r, dtype=float) - self.center) / self.width) / self.width**2
-
 
 @dataclass(frozen=True)
-class RadialLogBump:
+class RadialLogBump(InverseTransformedProfile):
     """Radial profile R(r) = r^power * b((s - center)/width) with s = -log r.
 
-    The log-radius parametrization makes the profile natural for the
-    cylinder change of variables: the transformed profile is again a bump.
-    Support is [exp(-(center+width)), exp(-(center-width))].
+    The inverse log-radial map applied to ``LineBump(center, width)``, so
+    the transformed profile is again a bump.  Support is
+    [exp(-(center+width)), exp(-(center-width))].
     """
 
     power: float = 0.0
@@ -187,40 +257,8 @@ class RadialLogBump:
     width: float = 1.0
 
     def __post_init__(self):
-        if not self.width > 0:
-            raise ValueError("width must be positive")
-
-    @property
-    def support(self):
-        return (math.exp(-(self.center + self.width)), math.exp(-(self.center - self.width)))
-
-    def _g(self, s, order=0):
-        t = (np.asarray(s, dtype=float) - self.center) / self.width
-        if order == 0:
-            return bump(t)
-        if order == 1:
-            return bump_d1(t) / self.width
-        return bump_d2(t) / self.width**2
-
-    def value(self, r):
-        r = np.asarray(r, dtype=float)
-        s = -np.log(r)
-        return r**self.power * self._g(s)
-
-    def d1(self, r):
-        # R' = r^(p-1) (p G - G') with G(s) evaluated at s = -log r
-        r = np.asarray(r, dtype=float)
-        s = -np.log(r)
-        p = self.power
-        return r ** (p - 1) * (p * self._g(s) - self._g(s, 1))
-
-    def d2(self, r):
-        r = np.asarray(r, dtype=float)
-        s = -np.log(r)
-        p = self.power
-        return r ** (p - 2) * (
-            p * (p - 1) * self._g(s) - (2 * p - 1) * self._g(s, 1) + self._g(s, 2)
-        )
+        # derived, so outside the fields that make equality, hash and repr
+        object.__setattr__(self, "line", LineBump(self.center, self.width))
 
 
 class DilatedRadialProfile:

@@ -57,14 +57,13 @@ def scan_alphas(alpha_from: float, alpha_to: float, step: float) -> list[float]:
         raise ValueError(f"step must be finite and positive, got {step}")
     if not (math.isfinite(alpha_from) and math.isfinite(alpha_to)):
         raise ValueError(f"alpha range must be finite, got [{alpha_from}, {alpha_to}]")
+    widest = max(alpha_from, alpha_to, key=abs)
+    if widest + step == widest:
+        raise ValueError(f"step {step!r} is below the spacing of doubles at alpha = "
+                         f"{widest!r} (alpha + step == alpha)")
     alphas = []
-    k = 0
-    while True:
-        a = alpha_from + k * step
-        if a > alpha_to + 1e-12:
-            break
+    while (a := alpha_from + len(alphas) * step) <= alpha_to + 1e-12:
         alphas.append(a)
-        k += 1
     return alphas
 
 

@@ -20,7 +20,10 @@ verifies the radial integral identity behind the radial best constant
 
 with v = r^((n-2+alpha)/2) u_r (whose cross term int v v_r dr vanishes
 exactly), and constructs symmetry-breaking witnesses: nonradial test
-functions whose quotient drops strictly below the radial constant.
+functions whose quotient drops strictly below the radial constant.  The
+witnesses are built on the cylinder and mapped back by
+:func:`~rellich_cone.cylinder.from_cylinder`, so the log-radial exponent is
+fixed in one place.
 """
 
 from __future__ import annotations
@@ -32,9 +35,10 @@ from functools import cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .cylinder import CylinderFunction, from_cylinder
 from .errors import ConvergenceError, NoWitnessError
 from .params import derive, mode_value, radial_constant
-from .profiles import DilatedRadialProfile, RadialLogBump
+from .profiles import DilatedRadialProfile, LineBump
 
 __all__ = [
     "XTestFunction",
@@ -269,9 +273,10 @@ WITNESS_EPSILONS = (0.3, 0.1, 0.03, 0.01)
 def symmetry_breaking_witness(n: int, alpha: float, target: float = 1e-2) -> WitnessResult:
     """Search the first nonradial mode family for a symmetry-breaking witness.
 
-    The family is the scaling family on the cylinder transported to
-    x-space: profile r^((4-n-alpha)/2) b(-eps log r) paired with a degree-1
-    spherical harmonic (eigenvalue n - 1).  Its quotient decreases to the
+    The family is the scaling family b(eps s) on the cylinder, paired with
+    a degree-1 spherical harmonic (eigenvalue n - 1) and transported to
+    x-space by :func:`~rellich_cone.cylinder.from_cylinder`: the profile is
+    r^((4-n-alpha)/2) b(-eps log r).  Its quotient decreases to the
     first nonradial mode value as eps -> 0; when that limit lies below the
     radial constant, a small enough eps witnesses symmetry breaking and the
     search stops once the quotient is within ``target`` of the limit.  When
@@ -286,36 +291,31 @@ def symmetry_breaking_witness(n: int, alpha: float, target: float = 1e-2) -> Wit
     # exponent too, where it reduces to n - 1)
     reference = float(mode_value(p, lam))
 
-    power = (4 - n - float(alpha)) / 2.0
     best = None
-    tried = []
     for eps in WITNESS_EPSILONS:
-        prof = RadialLogBump(power=power, center=0.0, width=1.0 / eps)
-        u = XTestFunction(profile=prof, eigenvalue=lam, n=n,
-                          label=f"witness-eps{eps}")
+        w = CylinderFunction(LineBump(0.0, 1.0 / eps), lam, f"witness-eps{eps}")
+        u = from_cylinder(w, p)
         q = weighted_quotient(u, alpha)
-        tried.append(eps)
         if best is None or q < best[1]:
             best = (u, q, eps)
         if q < d_rad and q <= reference + target:
-            return WitnessResult(function=u, quotient=q, epsilon=eps,
-                                 reference=reference, delta_rad=d_rad)
-    if best[1] < d_rad:
-        # beat the radial constant but never entered the target band
-        u, q, eps = best
+            best = (u, q, eps)
+            break
+    u, q, eps = best
+    if q < d_rad:  # in the target band, or failing that the best below the radial constant
         return WitnessResult(function=u, quotient=q, epsilon=eps,
                              reference=reference, delta_rad=d_rad)
     certificate = NoWitnessCertificate(
         n=n,
         alpha=float(alpha),
-        epsilons=tuple(tried),
-        best_quotient=best[1],
+        epsilons=WITNESS_EPSILONS,
+        best_quotient=q,
         delta_rad=d_rad,
         mode_value=reference,
     )
     raise NoWitnessError(
         f"no witness at (n={n}, alpha={alpha}): the first nonradial mode value "
         f"{reference:.6g} is not below the radial constant {d_rad:.6g} "
-        f"(best family quotient {best[1]:.6g})",
+        f"(best family quotient {q:.6g})",
         certificate=certificate,
     )

@@ -2,20 +2,40 @@
 
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
+import rellich_cone
 from rellich_cone import DegenerateModeError, SolverError, derive, mode_value
 from rellich_cone.cli import main
 from rellich_cone.config import Config, load_config, resolve_config
+
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(rellich_cone.__file__)))
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_bounded(*argv):
+    """The CLI in a subprocess capped at 60 s and 1 GiB of address space, so
+    a runaway input fails the test instead of hanging or exhausting memory."""
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("RELLICH_CONE_CONFIG", None)
+    return subprocess.run([sys.executable, "-m", "rellich_cone.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60, preexec_fn=cap_memory)
 
 
 class TestConstant:
@@ -296,6 +316,31 @@ class TestScan:
                                  "--alpha-to", alpha_to, "--step", step)
         assert code == 2
         assert out == "" and "finite" in err
+
+    @pytest.mark.parametrize("alpha", ["1e20", "-1e20", "1e200"])
+    def test_step_below_double_spacing_exit_2(self, alpha):
+        # alpha + 1 == alpha: the grid repeated one alpha, 8193 times at 1e20
+        # and without end at 1e200
+        done = run_cli_bounded("scan", "--n", "3", f"--alpha-from={alpha}",
+                               f"--alpha-to={alpha}", "--step=1")
+        assert done.returncode == 2
+        assert done.stdout == "" and "Traceback" not in done.stderr
+        assert f"step 1.0 is below the spacing of doubles at alpha = {float(alpha)!r}" in done.stderr
+
+    def test_step_spacing_judged_at_the_wider_endpoint(self):
+        done = run_cli_bounded("scan", "--n", "3", "--alpha-from=0", "--alpha-to=1e17",
+                               "--step=1")
+        assert done.returncode == 2
+        assert done.stdout == "" and "alpha = 1e+17" in done.stderr
+
+    @pytest.mark.parametrize("alpha", ["1e100", "1e153", "2e154"])
+    def test_numeric_sweep_past_double_range_exit_4(self, capsys, alpha):
+        # the mode problem's coefficients overflow; 2e154 used to raise
+        # OverflowError out of the pole computation
+        code, out, err = run_cli(capsys, "scan", "--n", "3", f"--alpha-from={alpha}",
+                                 f"--alpha-to={alpha}", "--step=1e140", "--with-numeric")
+        assert code == 4
+        assert "Traceback" not in err and "double range" in err
 
     @pytest.mark.parametrize("flag, value, key", [
         ("--mode-n", "0", "scan_N"),

@@ -481,12 +481,26 @@ class TestPhi:
     @given(n=st.integers(2, 12),
            alpha=st.floats(-6, 12, allow_nan=False, allow_infinity=False))
     def test_positive_on_nonnegative_axis(self, n, alpha):
-        # phi(0) = h^2 underflows when alpha sits within ~1e-77 of the
-        # critical exponent; keep a representable margin
-        assume(abs(n - 4 + alpha) > 1e-6)
+        # phi(0) = h^2, which underflows when alpha sits within ~1e-77 of
+        # the critical exponent
         p = derive(n, alpha)
+        assume(p.h**2 > 0)
         ts = np.linspace(0.0, 50.0, 51)
         assert all(phi(p, float(t)) > 0 for t in ts)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=st.tuples(st.integers(2, 12), st.sampled_from((-1.0, 1.0)),
+                          st.floats(-60, -1)).map(lambda c: (c[0], 4 - c[0] + c[1] * 10 ** c[2])))
+    # the product-minus-square form gave phi(0) = -3.85e-34 here, against h^2 = 1.14e-37
+    @example(case=(5, -1.0000000011628345))
+    def test_positive_near_critical_exponent(self, case):
+        n, alpha = case
+        p = derive(n, alpha)
+        assert phi(p, 0.0) == p.h**2
+        # h^2 = 0 where alpha rounds onto 4 - n or h^2 underflows; there
+        # phi(t) = t^2 + A^2 t underflows at t = 1e-300 when A = 0 too (n = 2)
+        ts = (0.0, 1e-300, 1.0, 50.0) if p.h**2 > 0 else (1.0, 50.0)
+        assert all(phi(p, t) > 0 for t in ts)
 
 
 class _Scaled:

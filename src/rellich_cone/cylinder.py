@@ -105,9 +105,9 @@ def to_cylinder(u, p: Params) -> CylinderFunction:
     """Transform a separable x-space function to the cylinder.
 
     ``u`` is an :class:`~rellich_cone.xspace.XTestFunction`, so its support
-    lies in (0, inf).  The profile of
-    the result is g(s) = r^((n-4+alpha)/2) R(r) at r = e^(-s); at the
-    critical exponent alpha = 4 - n the prefactor is identically 1.
+    lies in (0, inf).  The profile of the result is g(s) = r^((n-4+alpha)/2)
+    R(r) at r = e^(-s); at the critical exponent alpha = 4 - n the prefactor
+    is identically 1.
     Rejects profiles that fail to vanish at their support boundary (the
     admissible class vanishes near the origin and near infinity).
     """

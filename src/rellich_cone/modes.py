@@ -170,7 +170,7 @@ def _poles(A, Bl, Cl, N, dx):
 
 def _in_double_range(A, Bl, Cl, N, dx, P, D):
     """Whether the band entries and a bound on every pole p_j / d_j are finite,
-    from scalars only: |alpha| near 1e154 overflows them."""
+    from scalars only: gamma ~ -alpha^2/4 overflows the band from |alpha| ~ 2e77."""
     top = 4.0 / (dx * dx) + abs(Bl)  # >= |q_j / dx^2 + Bl|
     lowest = Cl + math.sin(0.5 * math.pi / (N + 1)) ** 2 * (4.0 / (dx * dx))  # d_1
     pole = (top * top + (A / dx) * (A / dx)) / lowest

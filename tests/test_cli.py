@@ -319,8 +319,8 @@ class TestScan:
 
     @pytest.mark.parametrize("alpha", ["1e20", "-1e20", "1e200"])
     def test_step_below_double_spacing_exit_2(self, alpha):
-        # alpha + 1 == alpha: the grid repeated one alpha, 8193 times at 1e20
-        # and without end at 1e200
+        # alpha + 1 == alpha: the grid would repeat one alpha, at 1e200
+        # without end, so the test runs in a bounded subprocess
         done = run_cli_bounded("scan", "--n", "3", f"--alpha-from={alpha}",
                                f"--alpha-to={alpha}", "--step=1")
         assert done.returncode == 2
@@ -335,8 +335,7 @@ class TestScan:
 
     @pytest.mark.parametrize("alpha", ["1e100", "1e153", "2e154"])
     def test_numeric_sweep_past_double_range_exit_4(self, capsys, alpha):
-        # the mode problem's coefficients overflow; 2e154 used to raise
-        # OverflowError out of the pole computation
+        # the band and pole coefficients of the mode problem overflow
         code, out, err = run_cli(capsys, "scan", "--n", "3", f"--alpha-from={alpha}",
                                  f"--alpha-to={alpha}", "--step=1e140", "--with-numeric")
         assert code == 4

@@ -25,7 +25,7 @@ class mimics compactly supported C^2 functions (plain Dirichlet endpoints
 would let one-sided exponentials leak energy through the boundary and
 produce spurious zero modes when Bl < 0).  The numerator matrix T^t T is
 pentadiagonal and positive semidefinite by construction, the denominator
-D tridiagonal and positive definite; both live in LAPACK band storage.
+D tridiagonal and positive definite.
 
 T^t T is exactly Toeplitz: it equals C + P2 (e_1 e_1^t + e_N e_N^t) with
 P2 = c_plus c_minus, and the DST-I basis diagonalizes C, by the symbol
@@ -33,10 +33,12 @@ P2 = c_plus c_minus, and the DST-I basis diagonalizes C, by the symbol
 entries), and D.  Centrosymmetry leaves one rank-one term per parity of j,
 so each parity's eigenvalues are the roots of a secular equation (Golub,
 SIAM Rev. 15, 1973); by interlacing the bottom one lies between the parity's
-two lowest poles when P2 > 0 and below the lowest when P2 < 0.  One banded
-Cholesky of T^t T - lo D certifies the smaller root: by inertia it factors
-iff lo < mu_min.  Inverse iteration on that factor builds the eigenvector,
-until its backward error relative to ||T^t T|| is well inside the gate.
+two lowest poles when P2 > 0 and below the lowest when P2 < 0.  The
+inertia of T^t T - lo D, read off the same poles by the determinant lemma,
+certifies the smaller root: it is definite iff lo < mu_min.  The secular
+formula (Bunch, Nielsen & Sorensen, Numer. Math. 31, 1978) gives the
+eigenvector's DST-I coefficients, a half-length chirp-z transform maps them
+back, and the backward error against the assembled bands is the gate.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import blas, lapack
 
 from .errors import SolverError
 from .params import Params
@@ -70,7 +71,7 @@ RESIDUAL_TOL = 1e-10
 #: of mu_min and its gap to the next eigenvalue
 SHIFT_FRACTION = 1e-4
 
-#: hard cap on Newton steps per secular root and on inverse-iteration steps
+#: hard cap on Newton steps per secular root
 ITERATION_CAP = 64
 
 EPS = float(np.finfo(float).eps)
@@ -126,7 +127,7 @@ class ModeMinimum:
 
 
 def _assemble(A, Bl, Cl, L, N):
-    """Numerator T^t T and denominator (stiffness + Cl) in lower band storage.
+    """Numerator T^t T and denominator (stiffness + Cl) as lower bands.
 
     Unknowns are the N interior values on (-L, L); T maps them to the N + 2
     stencil rows touching a nonzero value of the zero-extended vector, so
@@ -136,7 +137,7 @@ def _assemble(A, Bl, Cl, L, N):
     c_plus = 1.0 / dx**2 + A / (2 * dx)
     c_mid = -2.0 / dx**2 - Bl
     c_minus = 1.0 / dx**2 - A / (2 * dx)
-    P, D = np.zeros((3, N), order="F"), np.zeros((3, N), order="F")
+    P, D = np.zeros((3, N)), np.zeros((3, N))
     P[0] = c_plus * c_plus + c_mid * c_mid + c_minus * c_minus
     P[1, :-1] = c_plus * c_mid + c_mid * c_minus
     P[2, :-2] = c_plus * c_minus
@@ -146,26 +147,32 @@ def _assemble(A, Bl, Cl, L, N):
 
 
 def _matvec(band, x):
-    return blas.dsbmv(2, 1.0, band, x, lower=1)
+    """Symmetric matrix in lower band storage times x."""
+    y = band[0] * x
+    for k in range(1, band.shape[0]):
+        y[k:] += band[k, :-k] * x[:-k]
+        y[:-k] += band[k, :-k] * x[k:]
+    return y
 
 
-def _certified_factor(P, D, shift):
-    """(lo, Cholesky factor of P - lo D) for the largest of shift, 0 and -1e-10
-    at which it exists; by inertia it exists iff lo < mu_min."""
-    for lo in sorted({shift, 0.0, -1e-10}, reverse=True):
-        factor, info = lapack.dpbtrf(P - lo * D, lower=1, overwrite_ab=1)
-        if info == 0:
-            return lo, factor
-    raise SolverError("numerator matrix is not numerically semidefinite")
+@functools.lru_cache(maxsize=2)
+def _grid(L, N):
+    """Read-only arrays all solves on one grid share: q_j / dx^2, sin^2 theta_j,
+    the weight numerators, the nodes s and sin theta_j (z_j up to a factor)."""
+    dx, theta = 2.0 * L / (N + 1), np.arange(1, N + 1) * (math.pi / (N + 1))
+    sin_theta = np.sin(theta)
+    arrays = (np.sin(0.5 * theta) ** 2 * (4.0 / dx**2), sin_theta**2,
+              sin_theta**2 * (4.0 / (N + 1)), np.linspace(-L + dx, L - dx, N), sin_theta)
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
-def _poles(A, Bl, Cl, N, dx):
+def _poles(A, Bl, Cl, L, N, dx):
     """Poles p_j / d_j and weights z_j^2 / d_j of the secular equations, j = 1..N."""
-    theta = np.arange(1, N + 1) * (math.pi / (N + 1))
-    u = np.sin(0.5 * theta) ** 2 * (4.0 / dx**2)  # q_j / dx^2
-    sin2 = np.sin(theta) ** 2
+    u, sin2, weight = _grid(L, N)[:3]
     d = u + Cl
-    return ((u + Bl) ** 2 + sin2 * (A / dx) ** 2) / d, sin2 * (4.0 / (N + 1)) / d
+    return ((u + Bl) ** 2 + sin2 * (A / dx) ** 2) / d, weight / d
 
 
 def _in_double_range(A, Bl, Cl, N, dx, P, D):
@@ -178,10 +185,11 @@ def _in_double_range(A, Bl, Cl, N, dx, P, D):
 
 
 def _secular_root(lam, w, P2):
-    """Bottom root of 1 + P2 sum_j w_j / (lam_j - mu) and a floor of the next one.
+    """Bottom root of 1 + P2 sum_j w_j / (lam_j - mu), a floor of the next one,
+    the index k of the lowest pole and the root's offset mu - lam_k.
 
-    Near the lowest pole mu = lam_1 + sign(P2) x, where x > 0 solves the convex
-    K(x) = x (1/|P2| + sign(P2) sum_{j>1} w_j / (lam_j - mu)) - w_1 = 0.  K(0) < 0,
+    Near the lowest pole mu = lam_k + sign(P2) x, where x > 0 solves the convex
+    K(x) = x (1/|P2| + sign(P2) sum_{j!=k} w_j / (lam_j - mu)) - w_k = 0.  K(0) < 0,
     and K > 0 near the second pole (P2 > 0) or past |P2| sum_j w_j (P2 < 0):
     Newton runs inside that bracket, bisecting when a step leaves it.
     """
@@ -190,7 +198,7 @@ def _secular_root(lam, w, P2):
     delta, rest = np.delete(lam, k) - lam1, np.delete(w, k)
     lam2 = lam1 + float(delta.min()) if delta.size else math.inf
     if P2 == 0 or P2 > 0 and lam2 == lam1:  # the bottom root is the lowest pole
-        return lam1, lam2
+        return lam1, lam2, k, 0.0
     sign = 1.0 if P2 > 0 else -1.0
     lo, hi = 0.0, lam2 - lam1 if P2 > 0 else abs(P2) * float(w.sum())
     x = 0.0 if P2 > 0 else hi
@@ -206,9 +214,48 @@ def _secular_root(lam, w, P2):
         if not lo <= new <= hi:
             new = 0.5 * (lo + hi)
         if abs(new - x) <= 4 * EPS * max(abs(lam1 + sign * new), new):  # a few ulps
-            return lam1 + sign * new, lam2 if P2 > 0 else lam1
+            return lam1 + sign * new, lam2 if P2 > 0 else lam1, k, sign * new
         x = new
     raise SolverError(f"secular equation did not converge in {ITERATION_CAP} steps")
+
+
+def _below_spectrum(lam, w, P2, lo):
+    """Whether P - lo D is definite, i.e. lo < mu_min: each parity is congruent to
+    diag(t) + P2 v v^t, t = lam - lo, v^2 = w, of determinant prod(t) f with
+    f = 1 + P2 sum(w / t), and the rank-one term moves at most one eigenvalue."""
+    for j in (0, 1):
+        t = lam[j::2] - lo
+        below = int(np.count_nonzero(t <= 0))
+        if below > (P2 > 0):  # only a positive rank-one term lifts one eigenvalue
+            return False
+        f = 1.0 + P2 * float((w[j::2] / t).sum()) if below or P2 < 0 else 1.0
+        if not (f < 0 if below else f > 0):
+            return False
+    return True
+
+
+@functools.lru_cache(maxsize=2)
+def _chirp(N):
+    """The chirp c_n = exp(i pi n^2 / (N + 1)), n = 0..ceil(N / 2), the FFT of its
+    conjugate wrapped to a power of two >= N, and the chirp times each twist."""
+    K = (N + 1) // 2
+    n = np.arange(K + 1)
+    chirp = np.exp(1j * (math.pi / (N + 1)) * ((n * n) % (2 * (N + 1))))
+    kernel = np.zeros(1 << (2 * K - 1).bit_length(), complex)
+    kernel[: K + 1], kernel[kernel.size - K + 1:] = chirp.conj(), chirp[K - 1: 0: -1].conj()
+    twists = (np.exp(1j * (math.pi * m / (N + 1)) * n) for m in (1, 2))
+    return chirp, np.fft.fft(kernel), tuple(chirp * twist for twist in twists)
+
+
+def _dst1(y, N, parity):
+    """x_k = sum_i y_i sin(j_i k pi / (N + 1)), k = 1..N, j_i = 2i + 1 + parity: the
+    chirp-z sum Im(twist_k sum_i y_i exp(2 pi i ik / (N + 1))) for k <= ceil(N / 2),
+    by Bluestein's ik = (i^2 + k^2 - (k - i)^2) / 2, mirrored (odd j are symmetric)."""
+    chirp, kernel_hat, post = _chirp(N)
+    K = chirp.size - 1
+    sums = np.fft.ifft(np.fft.fft(y * chirp[: y.size], kernel_hat.size) * kernel_hat)
+    half = (post[parity] * sums[: K + 1]).imag[1:]
+    return np.concatenate((half, (-1) ** parity * half[N - K - 1:: -1]))
 
 
 def _solve_smallest(A, Bl, Cl, L, N):
@@ -217,32 +264,33 @@ def _solve_smallest(A, Bl, Cl, L, N):
     where = f"(A={A}, Bl={Bl}, Cl={Cl}, L={L}, N={N})"
     if not _in_double_range(A, Bl, Cl, N, dx, P, D):
         raise SolverError(f"mode problem leaves the double range (about 1.8e308) {where}")
-    lam, w = _poles(A, Bl, Cl, N, dx)
-    s = np.linspace(-L + dx, L - dx, N)
-    ones = np.ones(N)
-    norm_P = float(_matvec(abs(P), ones).max())
+    lam, w = _poles(A, Bl, Cl, L, N, dx)
+    # largest absolute row sums, those of the leading 5 x 5 Toeplitz blocks
+    norm_P, norm_D = (float(_matvec(abs(b[:, :5]), np.ones(min(N, 5))).max()) for b in (P, D))
+    P2 = float(P[2, 0])
     try:
-        (mu, above, antisymmetric), (other, _, _) = sorted(
-            (*_secular_root(lam[j::2], w[j::2], float(P[2, 0])), j) for j in (0, 1))
-        gap = min(other, above) - mu
-        # a deterministic start vector of the bottom eigenvector's parity
-        x = np.exp(-((s / (L / 4.0)) ** 2)) * (s if antisymmetric else 1.0)
-        # rounding the assembled P moves mu_min by up to about eps ||P|| / lambda_min(D)
-        rounding = 8 * EPS * norm_P / (Cl + (2 * math.sin(0.5 * math.pi / (N + 1)) / dx) ** 2)
-        factor = _certified_factor(P, D, mu - max(SHIFT_FRACTION * min(gap, mu), rounding))[1]
+        (mu, above, k, offset, parity), (other, *_) = sorted(
+            (*_secular_root(lam[j::2], w[j::2], P2), j) for j in (0, 1))
     except SolverError as exc:
         raise SolverError(f"{exc} {where}") from None
-    # backward-error normalization: residual relative to the operator scale
-    op_scale = float(norm_P + abs(mu) * _matvec(abs(D), ones).max())
+    gap = min(other, above) - mu
+    # rounding the assembled P moves mu_min by up to about eps ||P|| / lambda_min(D)
+    rounding = 8 * EPS * norm_P / (Cl + (2 * math.sin(0.5 * math.pi / (N + 1)) / dx) ** 2)
+    if not _below_spectrum(lam, w, P2, mu - max(SHIFT_FRACTION * min(gap, mu), rounding)):
+        raise SolverError(f"secular root {mu:.6e} is not the smallest eigenvalue {where}")
+    s, sin_theta = _grid(L, N)[3:]
+    lam, w, z = lam[parity::2], w[parity::2], sin_theta[parity::2]
+    if offset:  # DST-I coefficients z_i / (d_i (lam_i - mu)), lam_i - mu from the offset
+        y = w / (z * ((lam - lam[k]) - offset))
+    else:  # mu is the pole lam_k; of a tied pair, the combination orthogonal to z
+        y, tied = np.zeros(lam.size), np.flatnonzero(lam == lam[k])[:2]
+        y[tied] = z[tied[::-1]] * np.array([1.0, -1.0])[: tied.size]
+    x = _dst1(y, N, parity)
+    x /= np.linalg.norm(x)
     Dx = _matvec(D, x)
-    for _ in range(ITERATION_CAP):  # inverse iteration, to well inside the gate
-        x = lapack.dpbtrs(factor, Dx, lower=1)[0]
-        x /= np.linalg.norm(x)
-        Dx = _matvec(D, x)
-        residual = float(np.linalg.norm(_matvec(P, x) - mu * Dx)) / op_scale
-        if residual <= 1e-2 * RESIDUAL_TOL:
-            break
-    if residual > RESIDUAL_TOL:
+    # backward error relative to the operator scale
+    residual = float(np.linalg.norm(_matvec(P, x) - mu * Dx)) / (norm_P + abs(mu) * norm_D)
+    if not residual <= RESIDUAL_TOL:  # NaN fails too
         raise SolverError(f"eigensolver residual {residual:.3e} above tolerance "
                           f"{RESIDUAL_TOL:.1e} {where}")
     if mu < -1e-10:

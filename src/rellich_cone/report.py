@@ -69,7 +69,7 @@ def scan_alphas(alpha_from: float, alpha_to: float, step: float) -> list[float]:
 
 def _solve_smallest(A, Bl, Cl, L, N):
     """``modes._solve_smallest``, imported on the first numeric probe: the
-    mode solver needs numpy and scipy, which the exact rows never load."""
+    mode solver needs numpy, which the exact rows never load."""
     from .modes import _solve_smallest as solve
 
     return solve(A, Bl, Cl, L, N)

@@ -341,6 +341,15 @@ class TestScan:
         assert code == 4
         assert "Traceback" not in err and "double range" in err
 
+    def test_numeric_sweep_nan_residual_exit_4(self, capsys):
+        # the band is finite, but the eigenvector's norm overflows, and a NaN
+        # residual must not pass the gate (the row printed numeric_delta 4.9e-4
+        # against M = 0.5, exit 0)
+        code, out, err = run_cli(capsys, "scan", "--n", "3", "--alpha-from=2e77",
+                                 "--alpha-to=2e77", "--step=1e70", "--with-numeric")
+        assert code == 4
+        assert "Traceback" not in err and "residual nan above tolerance" in err
+
     @pytest.mark.parametrize("flag, value, key", [
         ("--mode-n", "0", "scan_N"),
         ("--mode-l", "0", "scan_L"),

@@ -1,5 +1,5 @@
 """Import hygiene: the exact paths load neither numpy nor scipy, and the
-mode solver loads neither scipy.optimize nor scipy.fft.
+mode solver loads numpy alone.
 
 Each case runs in a fresh interpreter, since ``sys.modules`` only grows.
 """
@@ -80,12 +80,13 @@ def test_cap_constant_still_solves():
     ("verify", "lemmas"),
 ])
 def test_mode_solver_loads_no_root_finder_or_fft(argv):
-    # the secular roots are found by hand: scipy.optimize alone adds about
-    # 17 MB of resident memory, and an FFT-based sine transform is slow on
-    # prime lengths such as the scan's N + 1 = 4001
+    # the secular roots are found by hand (scipy.optimize alone adds about
+    # 17 MB of resident memory), and the sine transform of the eigenvector
+    # runs through numpy FFTs of a power-of-two length, also when N + 1 is
+    # prime, as the scan's 4001 is: scipy.linalg would add about 26 MB
     code, out, heavy = run_cli(*argv)
     assert code == 0 and out
-    assert heavy == ["numpy", "scipy"]
+    assert heavy == ["numpy"]
 
 
 def test_public_names_resolve_lazily():

@@ -1,6 +1,9 @@
 """Discrete mode minimization, the two lower bounds, and decomposition."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +31,7 @@ from rellich_cone import (
     scaled_family_value,
     window_bound_check,
 )
-from rellich_cone.modes import _assemble, _certified_factor, _solve_smallest
+from rellich_cone.modes import _assemble, _below_spectrum, _dst1, _poles, _solve_smallest
 from rellich_cone.report import compute_scan_rows
 from rellich_cone import modes
 
@@ -51,16 +54,14 @@ def _dense_minimum(A, Bl, Cl, L, N):
     return eigh(_dense(P), _dense(D), eigvals_only=True, subset_by_index=[0, 0])[0]
 
 
-def _count_calls(monkeypatch, name):
-    """List that gets one entry per call of the LAPACK routine ``name`` in modes."""
-    routine, calls = getattr(modes.lapack, name), []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return routine(*args, **kwargs)
-
-    monkeypatch.setattr(modes.lapack, name, counted)
-    return calls
+def _dense_definite(lam, w, P2, lo):
+    """Whether P - lo D is definite, from the dense form of each parity in the
+    DST-I basis, diag(lam - lo) + P2 v v^t with v_j^2 = w_j."""
+    for j in (0, 1):
+        v = np.sqrt(w[j::2])
+        if np.linalg.eigvalsh(np.diag(lam[j::2] - lo) + P2 * np.outer(v, v))[0] <= 0:
+            return False
+    return True
 
 
 def _negative_count(A, Bl, Cl, L, N, sigma, dps=50):
@@ -193,7 +194,7 @@ class TestMinimizeMode:
             assert discrete == pytest.approx(target, abs=1e-3)
 
 
-@pytest.mark.parametrize("A,Bl,Cl,N", [
+DENSE_REFERENCE_CASES = [
     (-2.0, 1.25, 2.25, 3),
     (-2.0, 1.25, 2.25, 50),
     (-2.0, -0.75, 0.25, 1000),
@@ -206,12 +207,39 @@ class TestMinimizeMode:
     # extreme coefficients: a huge lambda shift and a strongly negative Bl
     (0.0, 1e6, 1e6, 200),
     (-50.0, -600.0, 1.0, 200),
-])
+]
+
+
+@pytest.mark.parametrize("A,Bl,Cl,N", DENSE_REFERENCE_CASES)
 def test_sparse_matches_dense_reference(A, Bl, Cl, N):
     L = 60.0
     reference = _dense_minimum(A, Bl, Cl, L, N)
     value = _solve_smallest(A, Bl, Cl, L, N)[0]
     assert value == pytest.approx(reference, rel=1e-10)
+
+
+@pytest.mark.parametrize("A,Bl,Cl,N", DENSE_REFERENCE_CASES)
+def test_secular_vector_backward_error(A, Bl, Cl, N):
+    # the secular formula's vector meets the 1e-10 gate with room to spare
+    assert _solve_smallest(A, Bl, Cl, 60.0, N)[3] <= 1e-14
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 46, 1000, 4000])  # N + 1 = 47 is prime
+@pytest.mark.parametrize("parity", [0, 1])
+def test_dst1_matches_direct_sine_sum(N, parity):
+    y = np.random.default_rng(N).standard_normal((N + 1 - parity) // 2)
+    j = 2 * np.arange(y.size) + 1 + parity
+    k = np.arange(1, N + 1)
+    direct = np.sin(np.outer(k, j) % (2 * (N + 1)) * (np.pi / (N + 1))) @ y
+    np.testing.assert_allclose(_dst1(y, N, parity), direct, rtol=0,
+                               atol=1e-14 * np.abs(y).sum())
+
+
+def test_nan_residual_raises():
+    # n = 3, alpha = 2e77: the band is finite but the vector's norm overflows
+    p = derive(3, 2e77)
+    with pytest.raises(SolverError, match="residual nan above tolerance"):
+        _solve_smallest(float(p.A), float(p.B), float(p.C), 100.0, 4000)
 
 
 @pytest.mark.parametrize("A,Bl,Cl,L,N", [
@@ -248,10 +276,17 @@ def test_closed_bracket_picks_bottom_of_cluster(A, Bl, Cl, L, N):
     (1.3, -7.5, 0.2, 40.0, 3200),      # not drift, strongly negative Bl
     (0.0, 0.0, 0.0, 100.0, 8000),      # tiny minimum on the finest grid
 ])
-def test_one_factorization_per_solve(monkeypatch, A, Bl, Cl, L, N):
-    calls = _count_calls(monkeypatch, "dpbtrf")
-    assert _solve_smallest(A, Bl, Cl, L, N)[0] > 0
-    assert len(calls) == 1
+def test_solve_loads_no_scipy(A, Bl, Cl, L, N):
+    # this process holds scipy for the dense references, so the solve runs
+    # in a fresh interpreter
+    code = ("import sys; from rellich_cone.modes import _solve_smallest; "
+            f"assert _solve_smallest({A!r}, {Bl!r}, {Cl!r}, {L!r}, {N!r})[0] > 0; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(modes.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 @settings(max_examples=60, deadline=None)
@@ -313,60 +348,74 @@ class TestCertifiedShift:
     ])
     def test_strictly_below_and_tight(self, A, Bl, Cl, N):
         L = 60.0
-        P, D, _ = _assemble(A, Bl, Cl, L, N)
+        P, _, dx = _assemble(A, Bl, Cl, L, N)
         reference = _dense_minimum(A, Bl, Cl, L, N)
         mu = _solve_smallest(A, Bl, Cl, L, N)[0]
         assert mu == pytest.approx(reference, rel=1e-10)
-        # a shift just below the secular root factors, and is certified below mu_min
-        lo, factor = _certified_factor(P, D, mu * (1 - 1e-6))
-        assert lo == mu * (1 - 1e-6) and lo < reference
-        F = np.tril(_dense(factor))
-        np.testing.assert_allclose(F @ F.T, _dense(P - lo * D), rtol=0,
-                                   atol=1e-12 * np.abs(P).max())
-        # one just above it does not
-        assert _certified_factor(P, D, mu * (1 + 1e-6))[0] <= 0.0
+        lam, w = _poles(A, Bl, Cl, L, N, dx)
+        # a shift just below the secular root is certified, one just above is not
+        below, above = mu * (1 - 1e-6), mu * (1 + 1e-6)
+        assert below < reference and _below_spectrum(lam, w, P[2, 0], below)
+        assert not _below_spectrum(lam, w, P[2, 0], above)
+        # and the exact pencil's inertia agrees at both shifts
+        assert _negative_count(A, Bl, Cl, L, N, below) == 0
+        assert _negative_count(A, Bl, Cl, L, N, above) >= 1
 
     def test_singular_numerator_terminates_below_zero(self):
-        # path-graph Laplacian: PSD with the constant vector as null vector,
-        # so Cholesky at 0 fails and the certificate falls back to -1e-10
-        N = 10
-        P, D = np.zeros((3, N)), np.zeros((3, N))
-        P[0], P[1, :-1] = np.r_[1.0, np.full(N - 2, 2.0), 1.0], -1.0
-        D[0] = 1.0
-        lo, factor = _certified_factor(P, D, 0.5)
-        assert lo == -1e-10
-        F = np.tril(_dense(factor))
-        np.testing.assert_allclose(F @ F.T, _dense(P - lo * D), atol=1e-12)
+        # a zero pole with no corner term: the form is singular at 0, so only
+        # a shift strictly below 0 is certified
+        lam, w = np.arange(10.0), np.full(10, 0.1)
+        for lo, definite in ((0.0, False), (-1e-10, True)):
+            assert _below_spectrum(lam, w, 0.0, lo) is definite
+            assert _dense_definite(lam, w, 0.0, lo) is definite
 
     def test_indefinite_numerator_raises(self):
-        N = 10
-        D = np.zeros((3, N))
-        D[0] = 1.0
-        with pytest.raises(SolverError, match="semidefinite"):
-            _certified_factor(-D, D, 0.0)
+        # an indefinite numerator has no certified shift at 0, as the dense
+        # form says; parities interleave, lam[0::2] is one and lam[1::2] the other
+        w = np.ones(4)
+        for lam, P2 in (([-1.0, 1.0, -0.5, 2.0], 1.0),    # two negative poles in one parity
+                        ([-1.0, 1.0, 0.5, 2.0], -1.0),    # a negative pole, corner term < 0
+                        ([1.0, 2.0, 3.0, 4.0], -10.0),    # positive poles, the corner term wins
+                        ([-1.0, 1.0, 0.5, 2.0], 0.1)):    # one negative pole, too small a lift
+            assert not _below_spectrum(np.array(lam), w, P2, 0.0)
+            assert not _dense_definite(np.array(lam), w, P2, 0.0)
+        # while a corner term that lifts the one negative pole is certified
+        lifted = np.array([-0.1, 1.0, 2.0, 3.0])
+        assert _below_spectrum(lifted, w, 1.0, 0.0) and _dense_definite(lifted, w, 1.0, 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lam=st.lists(st.integers(-6, 12), min_size=2, max_size=9),
+           w=st.floats(0.05, 4), P2=st.sampled_from([-3.0, -0.5, 0.0, 0.2, 1.0, 8.0]),
+           lo=st.sampled_from([-2.5, -0.25, 0.0, 0.75, 3.5]))
+    def test_inertia_rule_matches_dense_form(self, lam, w, P2, lo):
+        lam = np.array(lam, float) / 2
+        weights = w * np.linspace(0.5, 1.5, lam.size)
+        forms = [np.diag(lam[j::2] - lo) + P2 * np.outer(*2 * [np.sqrt(weights[j::2])])
+                 for j in (0, 1)]
+        # a pole exactly at lo is rejected whatever the lift: the rule is one-sided there
+        assume(all(abs(np.linalg.eigvalsh(f)).min() > 1e-9 for f in forms) and lo not in lam)
+        assert _below_spectrum(lam, weights, P2, lo) is _dense_definite(lam, weights, P2, lo)
 
     def test_floor_above_minimum_is_not_used(self):
-        # a shift counts only where P - shift D factors
+        # a shift counts only where P - shift D is definite
         A, Bl, Cl, L, N = -2.0, 1.25, 2.25, 60.0, 200
-        P, D, _ = _assemble(A, Bl, Cl, L, N)
+        P, _, dx = _assemble(A, Bl, Cl, L, N)
+        lam, w = _poles(A, Bl, Cl, L, N, dx)
         reference = _dense_minimum(A, Bl, Cl, L, N)
-        assert _certified_factor(P, D, 2.0 * reference)[0] == 0.0
+        assert not _below_spectrum(lam, w, P[2, 0], 2.0 * reference)
+        assert _below_spectrum(lam, w, P[2, 0], 0.5 * reference)
 
     def test_exhausted_step_budget_raises(self, monkeypatch):
-        # one Newton step cannot reach the secular root; nothing is factored
+        # one Newton step cannot reach the secular root
+        cap = modes.ITERATION_CAP
         monkeypatch.setattr(modes, "ITERATION_CAP", 1)
-        factored = _count_calls(monkeypatch, "dpbtrf")
         with pytest.raises(SolverError, match="secular equation did not converge in 1 steps"):
             _solve_smallest(-2.0, 1.25, 2.25, 60.0, 50)
-        assert factored == []
-        # a backward error no vector reaches: inverse iteration stops at the
-        # cap, makes no extra solve, and the gate rejects the pair
-        monkeypatch.setattr(modes, "ITERATION_CAP", 16)
+        # a backward error no vector reaches: the gate rejects the pair
+        monkeypatch.setattr(modes, "ITERATION_CAP", cap)
         monkeypatch.setattr(modes, "RESIDUAL_TOL", 0.0)
-        solves = _count_calls(monkeypatch, "dpbtrs")
         with pytest.raises(SolverError, match="residual .* above tolerance"):
             _solve_smallest(-2.0, 1.25, 2.25, 60.0, 50)
-        assert len(factored) == 1 and len(solves) == 16
 
 
 class TestScaledFamily:

@@ -176,12 +176,15 @@ def _poles(A, Bl, Cl, L, N, dx):
 
 
 def _in_double_range(A, Bl, Cl, N, dx, P, D):
-    """Whether the band entries and a bound on every pole p_j / d_j are finite,
-    from scalars only: gamma ~ -alpha^2/4 overflows the band from |alpha| ~ 2e77."""
+    """Whether the band entries, a bound on every pole p_j / d_j and a bound on
+    the residual's scale ||P|| + |mu| ||D|| are finite, from scalars only:
+    gamma ~ -alpha^2/4 overflows the scale, which grows like the squared
+    pole, from |alpha| ~ 2e77."""
     top = 4.0 / (dx * dx) + abs(Bl)  # >= |q_j / dx^2 + Bl|
     lowest = Cl + math.sin(0.5 * math.pi / (N + 1)) ** 2 * (4.0 / (dx * dx))  # d_1
     pole = (top * top + (A / dx) * (A / dx)) / lowest
-    return all(map(math.isfinite, (P[0, 0], P[1, 0], P[2, 0], D[0, 0], pole)))
+    scale = top * top + pole * (4.0 / (dx * dx) + abs(Cl))
+    return all(map(math.isfinite, (P[0, 0], P[1, 0], P[2, 0], D[0, 0], pole, scale)))
 
 
 def _secular_root(lam, w, P2):

@@ -5,9 +5,11 @@ Supported domains Sigma inside the unit sphere S^(n-1):
 * the full sphere, with the exact spectrum {k(n-2+k) : k = 0, 1, ...};
 * geodesic caps of radius theta0 in (0, pi) for n >= 3: each azimuthal
   order's eigenvalues are the roots of a Legendre function, evaluated by an
-  elementary ladder and polished to full precision; a finite-difference
-  Sturm count checks every root's index, and finite differences with
-  Richardson extrapolation are kept as the independent check;
+  elementary ladder (started for odd n from Mehler-Dirichlet integrals) and
+  polished to full precision; a finite-difference Sturm count in plain
+  Python checks every root's index, so that a cap solve needs numpy alone,
+  and finite differences with Richardson extrapolation (through scipy) are
+  kept as the independent check;
 * arcs of length L in (0, 2*pi) for n = 2, with the exact interval
   spectrum {(k*pi/L)^2 : k = 1, 2, ...};
 * explicit user-supplied eigenvalue lists.
@@ -16,7 +18,8 @@ A :class:`Spectrum` answers by index instead of holding a list: its bottom
 eigenvalue lambda_min (0 exactly for the full sphere, strictly positive
 otherwise), its lowest ``count`` entries, and the two entries next to any
 value.  The sphere and the arc invert their closed forms, an explicit list
-bisects, and a cap solves each azimuthal order only up to the value.
+bisects, and a cap scans each azimuthal order only up to the value,
+resuming where the last query stopped.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import bisect
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -202,14 +206,17 @@ def explicit_spectrum(values) -> Spectrum:
 # ---------------------------------------------------------------------------
 # geodesic caps: each azimuthal order's eigenvalues are the roots of a
 # Legendre ladder; a finite-difference Sturm count checks every root's index.
-# numpy and scipy are imported inside these functions, so that the sphere,
-# arc and explicit spectra load neither.
+# numpy is imported inside these functions, so that the sphere, arc and
+# explicit spectra do not load it; only ``_cap_fd``, the second
+# discretization behind ``verify spectra``, loads scipy.
 # ---------------------------------------------------------------------------
 
-# grid of the index check, trusted for an order's lowest CHECK_GRID // 32
+# rows of the index check's finite-difference matrix; its lowest
+# CHECK_GRID // 32 eigenvalues of an order are trusted to keep their order
 CHECK_GRID = 2048
 SCAN_STEP = 0.25  # in K; the roots of one order lie about 1 or more apart
 REFINEMENTS = 3  # halvings of the scan step before an index disagreement is reported
+GAUSS_NODES = 20  # Gauss-Legendre nodes per panel of the Mehler-Dirichlet integrals
 
 
 def _cap_tridiagonal(n: int, theta0: float, m: int, grid: int):
@@ -262,12 +269,82 @@ def _cap_tridiagonal(n: int, theta0: float, m: int, grid: int):
     return diag * inv_sqrt**2 + shift, lower * inv_sqrt[:-1] * inv_sqrt[1:]
 
 
-def _sturm_count(d, e, value) -> int:
-    """Eigenvalues of (d, e) below ``value``: a tolerance as wide as the range stops bisection."""
-    from scipy.linalg import eigh_tridiagonal
+def _sturm_count(d, e2, value) -> int:
+    """Eigenvalues below ``value`` of the symmetric tridiagonal matrix with
+    diagonal ``d`` and squared off-diagonal ``e2`` (``e2[0] = 0``), as floats.
 
-    return eigh_tridiagonal(d, e, eigvals_only=True, select="v",
-                            select_range=(-1.0, value), tol=value + 1.0).size
+    They are the negative pivots q_i = d_i - e2_i / q_(i-1) - value of its
+    LDL^T factorization, in LAPACK's order of operations (``dlaebz``); a zero
+    pivot counts as negative and continues as the smallest negative double.
+    """
+    count, q = 0, 1.0
+    for a, b in zip(d, e2):
+        q = a - b / q - value
+        if q <= 0.0:
+            count += 1
+            q = q or -sys.float_info.min
+    return count
+
+
+@functools.cache
+def _gauss_legendre():
+    """Nodes and weights of the GAUSS_NODES-point Gauss-Legendre rule on (-1, 1)."""
+    import numpy as np
+
+    return np.polynomial.legendre.leggauss(GAUSS_NODES)
+
+
+@functools.lru_cache(maxsize=32)
+def _mehler_nodes(theta0: float, panels: int):
+    """Nodes phi and weights of the Mehler-Dirichlet integrals over (0, theta0)
+    against 1/sqrt(cos phi - cos theta0), with and without the factor sin phi.
+
+    phi = theta0 (1 - v^2) makes the integrand smooth in v: cos phi - cos theta0
+    = 2 sin(theta0 - u) sin u with u = theta0 v^2 / 2, and both sines are
+    formed from sin theta0 and cos theta0 so that no digit cancels near pi.
+    ``panels`` equal Gauss-Legendre panels cover v in (0, 1); the first is
+    halved until it is no wider than sqrt(2 (pi - theta0) / theta0), where
+    sin(theta0 - u) stops being dominated by its value at u = 0.
+    """
+    import numpy as np
+
+    x, g = _gauss_legendre()
+    edges = [j / panels for j in range(panels + 1)]
+    while edges[1] > math.sqrt(2 * (math.pi - theta0) / theta0):
+        edges.insert(1, edges[1] / 2)
+    left, width = np.array(edges[:-1])[:, None], np.diff(edges)[:, None]
+    v = (left + width * (x + 1) / 2).ravel()
+    u = theta0 * v * v / 2
+    s, c = math.sin(theta0), math.cos(theta0)
+    weight = (width * g).ravel() * theta0 * v / np.sqrt(2 * (s * np.cos(u) - c * np.sin(u))
+                                                     * np.sin(u))
+    sin_phi = s * np.cos(2 * u) - c * np.sin(2 * u)
+    return theta0 * (1 - v * v), weight, weight * sin_phi
+
+
+def _ferrers(theta0: float, K):
+    """P = P_(K-1/2)(cos theta0) and P^(-1) of the same degree, for each K.
+
+    Mehler-Dirichlet (DLMF 14.12.1): P is sqrt(2)/pi times the integral of
+    cos(K phi), and P^(-1), its mu = 1 case integrated by parts, that times
+    the integral of sin(K phi) sin phi over K sin theta0, both against
+    1/sqrt(cos phi - cos theta0) on (0, theta0).  Each K takes
+    its panel count from its own K theta0 and sums along its own row, so its
+    value does not depend on the other entries of ``K``.
+    """
+    import numpy as np
+
+    P, Pm1 = np.empty_like(K), np.empty_like(K)
+    # the first power of two at which K phi changes by at most 8 across a
+    # panel: a batch of K spans few panel counts
+    panels = 2 ** np.ceil(np.log2(1 + K * theta0 / 4))
+    for count in set(panels.tolist()):
+        at = panels == count
+        phi, weight, weight_sin = _mehler_nodes(theta0, int(count))
+        angle = np.multiply.outer(K[at], phi)
+        P[at] = (np.cos(angle) * weight).sum(axis=1)
+        Pm1[at] = (np.sin(angle) * weight_sin).sum(axis=1) / (K[at] * math.sin(theta0))
+    return math.sqrt(2) / math.pi * P, math.sqrt(2) / math.pi * Pm1
 
 
 def _ladder(n: int, theta0: float, m: int, K):
@@ -280,7 +357,9 @@ def _ladder(n: int, theta0: float, m: int, K):
     takes the regular solution at nu = a - 1/2 to the one at a + 1/2, with
     leading term (K^2 - a^2)/(2a + 1) theta^(a+1) > 0 for K > a.  The climb
     starts at nu = 1/2 from sin(K theta) (even n) or at nu = 0 from
-    sqrt(sin) P_(K-1/2)(cos) (odd n) (DLMF 14.5, 14.10).
+    sqrt(sin) P_(K-1/2)(cos) (odd n), whose derivative is
+    cot/2 psi + sqrt(sin) P^1 with P^1 = -(K^2 - 1/4) P^(-1) (DLMF 14.5,
+    14.9.3, 14.10).
     """
     import numpy as np
 
@@ -289,11 +368,9 @@ def _ladder(n: int, theta0: float, m: int, K):
     if n % 2 == 0:
         psi, dpsi, a = np.sin(K * theta0), K * np.cos(K * theta0), 1.0
     else:
-        from scipy.special import lpmv
-
-        # d/dtheta P(cos theta) = P^1(cos theta): lpmv has the Condon-Shortley phase
-        psi = math.sqrt(s) * lpmv(0, K - 0.5, c)
-        dpsi = 0.5 * cot * psi + math.sqrt(s) * lpmv(1, K - 0.5, c)
+        P, Pm1 = _ferrers(theta0, K)
+        psi = math.sqrt(s) * P
+        dpsi = 0.5 * cot * psi - math.sqrt(s) * (K * K - 0.25) * Pm1
         a = 0.5
     while a < m + (n - 3) / 2:
         psi, dpsi = a * cot * psi - dpsi, (K * K - (a / s) ** 2) * psi + a * cot * dpsi
@@ -303,25 +380,49 @@ def _ladder(n: int, theta0: float, m: int, K):
     return psi
 
 
-def _ladder_roots(f, start: float, step: float, top: float, limit: int):
-    """Ascending roots of ``f`` above ``start``, through the second at or above
-    ``top`` or past the first ``limit``: sign changes on start + step * j (or
-    an exact zero there) bracket them, and Illinois polishes all at once."""
+class _Roots:
+    """Ascending roots of ``f`` above ``start``, scanned as far as asked.
+
+    Sign changes on start + step * j (or an exact zero there) bracket the
+    roots, and Illinois polishes each extension's new brackets at once; the
+    scan resumes where the last extension stopped, so no grid point is
+    evaluated twice and a root has the same bits whatever extension found it.
+    """
+
+    def __init__(self, f, start: float, step: float):
+        import numpy as np
+
+        self.f, self.start, self.step, self.j = f, start, step, 0
+        self.last = f(np.array([start]))
+        # f > 0 at start, so a value <= 0 there puts a root within rounding of it
+        self.left = [start] if self.last[0] <= 0 else []
+        self.roots = list(self.left)
+
+    def extend(self, top: float, limit: int) -> list:
+        """The roots through the second bracket at or above ``top``, or past
+        the first ``limit`` brackets."""
+        import numpy as np
+
+        first, b, fa, fb = len(self.left), [], [], []
+        while len(self.left) - bisect.bisect_left(self.left, top) < 2 and len(self.left) <= limit:
+            K = self.start + self.step * np.arange(self.j, self.j + 65)
+            fK = np.concatenate((self.last, self.f(K[1:])))
+            zero = fK[1:] == 0
+            hit = np.flatnonzero(zero | (fK[:-1] * fK[1:] < 0))
+            left = np.where(zero[hit], hit + 1, hit)
+            self.left += K[left].tolist()
+            b += K[hit + 1].tolist(); fa += fK[left].tolist(); fb += fK[hit + 1].tolist()
+            self.j, self.last = self.j + 64, fK[-1:]
+        if b:
+            brackets = map(np.array, (self.left[first:], b, fa, fb))
+            self.roots += _illinois(self.f, *brackets).tolist()
+        return self.roots
+
+
+def _illinois(f, a, b, fa, fb):
+    """Roots of ``f`` in the brackets [a, b] (a == b: a root at b), all at once."""
     import numpy as np
 
-    # f > 0 at start, so a value <= 0 there puts a root within rounding of it
-    a, b, fa, fb = ([start], [start], [0.0], [0.0]) if f(np.array([start]))[0] <= 0 else (
-        [], [], [], [])
-    j = 0
-    while np.count_nonzero(np.asarray(a) >= top) < 2 and len(a) <= limit:
-        K = start + step * np.arange(j, j + 65)
-        fK = f(K)
-        zero = fK[1:] == 0
-        hit = np.flatnonzero(zero | (fK[:-1] * fK[1:] < 0))
-        left = np.where(zero[hit], hit + 1, hit)
-        a += list(K[left]); fa += list(fK[left]); b += list(K[hit + 1]); fb += list(fK[hit + 1])
-        j += 64
-    a, b, fa, fb = map(np.array, (a, b, fa, fb))
     live = a != b
     for _ in range(100):
         i = np.flatnonzero(live)
@@ -337,51 +438,93 @@ def _ladder_roots(f, start: float, step: float, top: float, limit: int):
     return b
 
 
-def _cap_order(n: int, theta0: float, m: int, bound: float):
-    """Order m's eigenvalues below ``bound``, ascending, and its first at or above it.
+def _ladder_roots(f, start: float, step: float, top: float, limit: int):
+    """Ascending roots of ``f`` above ``start``, through the second at or above
+    ``top`` or past the first ``limit``, in one extension of :class:`_Roots`."""
+    import numpy as np
+
+    return np.array(_Roots(f, start, step).extend(top, limit))
+
+
+class _CapOrder:
+    """Azimuthal order m's eigenvalues on the cap, solved only as far as asked.
 
     Every root has K > m + (n-2)/2 (order m's bottom on the full sphere is
     m(m+n-2)) and K^2 > the potential's minimum on (0, theta0); below the
     latter the ladder loses every digit.  Index check: exactly i eigenvalues
     of the finite-difference matrix lie below the midpoint of roots i, i + 1.
+    The state persists between bounds: a larger bound scans on, polishes the
+    new brackets and counts only the new midpoints.  A failed count halves the
+    scan step and restarts this order alone, at most REFINEMENTS times.
     """
-    import numpy as np
 
-    d, e = _cap_tridiagonal(n, theta0, m, CHECK_GRID)
-    k, nu = (n - 2) / 2, m + (n - 3) / 2
-    start = max(m + k, math.sqrt(max(nu * nu - 0.25, 0.0)) / math.sin(min(theta0, math.pi / 2)))
-    # the scan runs a hair past K at the bound, so that two roots lie above
-    # it however sqrt rounds; the split itself compares eigenvalues, so an
-    # eigenvalue equal to ``bound`` is never filed below it
-    top, step, limit = math.sqrt(bound + k * k) * (1 + 1e-12), SCAN_STEP, CHECK_GRID // 32
-    for _ in range(REFINEMENTS + 1):
-        roots = _ladder_roots(functools.partial(_ladder, n, theta0, m), start, step, top, limit)
-        lam = (roots - k) * (roots + k)
-        if lam[0] <= 0:
-            raise ConvergenceError(
-                f"cap eigenvalues did not converge: lambda_min at n={n}, theta0={theta0} "
-                f"lies below the roots' resolution, about eps * (n-2)^2/4")
-        keep = int(np.searchsorted(lam, bound))
-        if keep + 2 > roots.size:
-            raise ConvergenceError(
-                f"cap eigenvalues did not converge: order {m} has more than {limit} "
-                f"below {bound:.6g}, beyond what the index check on grid {CHECK_GRID} resolves")
-        mids = (lam[: keep + 1] + lam[1 : keep + 2]) / 2
-        if [_sturm_count(d, e, mid) for mid in mids] == list(range(1, keep + 2)):
-            return lam[:keep].tolist(), float(lam[keep])
-        step /= 2
-    raise ConvergenceError(
-        f"cap eigenvalues did not converge: the indices of order {m}'s roots below "
-        f"{bound:.6g} disagree with the Sturm counts on grid {CHECK_GRID}")
+    def __init__(self, n: int, theta0: float, m: int):
+        self.n, self.theta0, self.m = n, theta0, m
+        self.k, nu = (n - 2) / 2, m + (n - 3) / 2
+        self.start = max(m + self.k, math.sqrt(max(nu * nu - 0.25, 0.0))
+                         / math.sin(min(theta0, math.pi / 2)))
+        self.ladder = functools.partial(_ladder, n, theta0, m)
+        self.rows = None  # the check matrix's (d, e^2) as floats, built at the first count
+        self.refinements = 0
+        self._restart(SCAN_STEP)
+
+    def _restart(self, step: float):
+        self.scan = _Roots(self.ladder, self.start, step)
+        self.checked = 0  # midpoints whose count agreed, from the bottom
+
+    def split(self, bound: float):
+        """The eigenvalues below ``bound``, ascending, and the first at or above it."""
+        k = self.k
+        # the scan runs a hair past K at the bound, so that two roots lie above
+        # it however sqrt rounds; the split itself compares eigenvalues, so an
+        # eigenvalue equal to ``bound`` is never filed below it
+        top, limit = math.sqrt(bound + k * k) * (1 + 1e-12), CHECK_GRID // 32
+        while True:
+            lam = [(K - k) * (K + k) for K in self.scan.extend(top, limit)]
+            if lam[0] <= 0:
+                raise ConvergenceError(
+                    f"cap eigenvalues did not converge: lambda_min at n={self.n}, "
+                    f"theta0={self.theta0} lies below the roots' resolution, about "
+                    f"eps * (n-2)^2/4")
+            keep = bisect.bisect_left(lam, bound)
+            if keep + 2 > len(lam):
+                raise ConvergenceError(
+                    f"cap eigenvalues did not converge: order {self.m} has more than {limit} "
+                    f"below {bound:.6g}, beyond what the index check on grid {CHECK_GRID} "
+                    f"resolves")
+            if self.rows is None:
+                d, e = _cap_tridiagonal(self.n, self.theta0, self.m, CHECK_GRID)
+                self.rows = d.tolist(), [0.0] + (e * e).tolist()
+            while self.checked <= keep:
+                i = self.checked
+                if _sturm_count(*self.rows, (lam[i] + lam[i + 1]) / 2) != i + 1:
+                    break
+                self.checked += 1
+            if self.checked > keep:
+                return lam[:keep], lam[keep]
+            if self.refinements == REFINEMENTS:
+                raise ConvergenceError(
+                    f"cap eigenvalues did not converge: the indices of order {self.m}'s roots "
+                    f"below {bound:.6g} disagree with the Sturm counts on grid {CHECK_GRID}")
+            self.refinements += 1
+            self._restart(self.scan.step / 2)
 
 
-def _cap_split(n: int, theta0: float, bound: float):
+def _cap_order(n: int, theta0: float, m: int, bound: float):
+    """Order m's eigenvalues below ``bound``, ascending, and its first at or above it."""
+    return _CapOrder(n, theta0, m).split(bound)
+
+
+def _cap_split(orders: list, n: int, theta0: float, bound: float):
     """Every cap eigenvalue below ``bound`` (ascending), the smallest at or
     above it, and the highest order solved: orders are added until one has
-    none below ``bound``, since an order's bottom rises with m."""
+    none below ``bound``, since an order's bottom rises with m.  ``orders``
+    holds each order's :class:`_CapOrder` and grows as needed."""
     below, above = [], math.inf
     for m in itertools.count():
-        values, first_above = _cap_order(n, theta0, m, bound)
+        if m == len(orders):
+            orders.append(_CapOrder(n, theta0, m))
+        values, first_above = orders[m].split(bound)
         below += values
         above = min(above, first_above)
         if not values:
@@ -398,9 +541,10 @@ def _cap_fd(n: int, theta0: float, count: int, grid: int):
     found = []
     for m in itertools.count():
         grids = [_cap_tridiagonal(n, theta0, m, g) for g in (grid, 2 * grid)]
+        d, e = grids[0]
         # once full, an order needs its values below the count-th and one more
         last = count - 1 if len(found) < count else min(
-            count - 1, _sturm_count(*grids[0], found[-1][0]))
+            count - 1, _sturm_count(d.tolist(), [0.0] + (e * e).tolist(), found[-1][0]))
         coarse, fine = (eigh_tridiagonal(*matrix, eigvals_only=True, select="i",
                                          select_range=(0, last), tol=np.finfo(float).tiny)
                         for matrix in grids)
@@ -414,18 +558,19 @@ def cap_spectrum(n: int, theta0: float) -> Spectrum:
     """Dirichlet spectrum of the geodesic cap of radius theta0.
 
     Each azimuthal order's eigenvalues are index-checked roots of a Legendre
-    ladder (``_cap_order``), or :class:`ConvergenceError`.  ``neighbours``
+    ladder (:class:`_CapOrder`), or :class:`ConvergenceError`.  ``neighbours``
     solves each order up to its first root past the value; ``lowest(count)``
     takes all orders below a bound that doubles until it holds ``count``
     entries, and records in ``resolution_meta`` the highest azimuthal order
-    it solved as ``m_max`` (orders are not cut off), after ``method``.
-    Solves are cached by bound: an eigenvalue comes out the same whatever
-    the bound that found it.
+    it solved as ``m_max`` (orders are not cut off), after ``method``.  Every
+    query extends the same per-order state, so an eigenvalue comes out the
+    same whatever query found it, unless a failed index check refined its
+    order in between.
     """
     if n < 3:
         raise ValueError(f"cap spectra need n >= 3, got {n}")
     domain = DomainSpec.cap(theta0)
-    split = functools.lru_cache(maxsize=None)(functools.partial(_cap_split, n, domain.theta0))
+    split = functools.partial(_cap_split, [], n, domain.theta0)
     meta = {"method": "legendre-ladder"}
 
     def lowest(count):

@@ -341,14 +341,16 @@ class TestScan:
         assert code == 4
         assert "Traceback" not in err and "double range" in err
 
-    def test_numeric_sweep_nan_residual_exit_4(self, capsys):
-        # the band is finite, but the eigenvector's norm overflows, and a NaN
-        # residual must not pass the gate (the row printed numeric_delta 4.9e-4
-        # against M = 0.5, exit 0)
-        code, out, err = run_cli(capsys, "scan", "--n", "3", "--alpha-from=2e77",
-                                 "--alpha-to=2e77", "--step=1e70", "--with-numeric")
-        assert code == 4
-        assert "Traceback" not in err and "residual nan above tolerance" in err
+    def test_numeric_sweep_scale_past_double_range_exit_4(self):
+        # the band and the poles are finite, but the residual's scale
+        # ||P|| + |mu| ||D|| overflows: the double-range message, without the
+        # overflow warning and NaN residual that came first (the row once
+        # printed numeric_delta 4.9e-4 against M = 0.5, exit 0)
+        done = run_cli_bounded("scan", "--n", "3", "--alpha-from=2e77", "--alpha-to=2e77",
+                               "--step=1e70", "--with-numeric")
+        assert done.returncode == 4
+        assert "double range" in done.stderr
+        assert "Traceback" not in done.stderr and "Warning" not in done.stderr
 
     @pytest.mark.parametrize("flag, value, key", [
         ("--mode-n", "0", "scan_N"),

@@ -1,5 +1,5 @@
 """Import hygiene: the exact paths load neither numpy nor scipy, and the
-mode solver loads numpy alone.
+mode solver and the cap solver load numpy alone.
 
 Each case runs in a fresh interpreter, since ``sys.modules`` only grows.
 """
@@ -67,11 +67,20 @@ def test_explicit_file_constant_loads_no_numeric_stack(tmp_path):
 
 
 def test_cap_constant_still_solves():
+    # the ladder starts odd n from Mehler-Dirichlet integrals and counts the
+    # index check's pivots in plain Python: scipy.special and scipy.linalg
+    # together would add about 30 MB
     code, out, heavy = run_cli("constant", "--n", "3", "--alpha=0", "--domain",
                                "cap:1.5707963267948966", "--format", "json")
     assert code == 0
     assert json.loads(out)["attained_lambda"] == pytest.approx(2.0, rel=1e-12)
-    assert heavy == ["numpy", "scipy"]
+    assert heavy == ["numpy"]
+    # the hemisphere of S^4: k(k + 3) once per order m <= k with k - m odd
+    code, out, heavy = run_cli("spectrum", "--n", "5", "--domain", "cap:1.5707963267948966",
+                               "--count", "6", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["eigenvalues"] == pytest.approx([4, 10, 18, 18, 28, 28], rel=1e-13)
+    assert heavy == ["numpy"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -235,11 +235,24 @@ def test_dst1_matches_direct_sine_sum(N, parity):
                                atol=1e-14 * np.abs(y).sum())
 
 
-def test_nan_residual_raises():
-    # n = 3, alpha = 2e77: the band is finite but the vector's norm overflows
+def test_nan_residual_raises(monkeypatch):
+    # n = 3, alpha = 2e77 past the range check: the band is finite but the
+    # residual's scale overflows, and a NaN residual must not pass the gate
+    from rellich_cone import modes
+    monkeypatch.setattr(modes, "_in_double_range", lambda *args: True)
     p = derive(3, 2e77)
-    with pytest.raises(SolverError, match="residual nan above tolerance"):
-        _solve_smallest(float(p.A), float(p.B), float(p.C), 100.0, 4000)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SolverError, match="residual nan above tolerance"):
+            _solve_smallest(float(p.A), float(p.B), float(p.C), 100.0, 4000)
+
+
+def test_residual_scale_past_double_range_raises():
+    # the same input is refused by the range check, from scalars, before any
+    # vector overflows (and warns)
+    p = derive(3, 2e77)
+    with np.errstate(all="raise"):
+        with pytest.raises(SolverError, match="leaves the double range"):
+            _solve_smallest(float(p.A), float(p.B), float(p.C), 100.0, 4000)
 
 
 @pytest.mark.parametrize("A,Bl,Cl,L,N", [

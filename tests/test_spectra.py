@@ -1,6 +1,8 @@
 """Spectra by index: full sphere, arcs, caps, explicit lists."""
 
+import math
 import time
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +23,16 @@ from rellich_cone import (
     spectrum_for,
 )
 
-from rellich_cone.spectra import _cap_fd, _cap_order, _ladder_roots
+from rellich_cone.spectra import (
+    CHECK_GRID,
+    SCAN_STEP,
+    _cap_fd,
+    _cap_order,
+    _cap_tridiagonal,
+    _ferrers,
+    _ladder_roots,
+    _sturm_count,
+)
 
 # frozen self-convergence oracle: Richardson extrapolation of the first cap
 # eigenvalue at grids (1024, 2048) for n = 3, theta0 = pi/3
@@ -175,6 +186,92 @@ class TestCap:
         _, first = _cap_order(n, theta0, m, 0.0)
         assert first == pytest.approx(oracle, rel=1e-11)
 
+    @pytest.mark.parametrize("theta0", [3.0407, 3.0089])
+    def test_odd_start_oracle_near_pi(self, cap_oracle, theta0):
+        # scipy's lpmv put order 3's bottom 3.2e-11 and 5.1e-12 off here
+        oracle = cap_oracle(5, 3, theta0, 17.99, 18.01)
+        _, first = _cap_order(5, theta0, 3, 0.0)
+        assert first == pytest.approx(oracle, rel=1e-14)
+
+    @pytest.mark.parametrize("theta0", [0.05, 0.3, 1.0, np.pi / 2, 2.5, 2.9, 3.13])
+    def test_mehler_start_matches_mpmath(self, theta0):
+        # P_(K-1/2)(cos theta0) and P^(-1) against mpmath's Ferrers functions,
+        # in units of the amplitude hypot(P, K P^(-1)) that the ladder carries.
+        # Bound: a relative change eps of the angle moves that pair by
+        # (K + |cot theta0|) theta0 eps, since dP/dtheta = -(K^2 - 1/4) P^(-1)
+        # and P^(-1) grows like 1/sin theta0 towards pi; each node's phase
+        # K theta0 (1 - v^2) carries four roundings of at most eps/2, so the
+        # bound is twice that (plus 2 eps for the sums).  scipy's lpmv keeps
+        # its own error where that is larger (1e-12 at theta0 = 3.13, K = 120)
+        import mpmath as mp
+        from scipy.special import lpmv
+
+        K = np.concatenate((np.arange(0.75, 10.0, 0.5), np.geomspace(10.0, 120.0, 12)))
+        P, Pm1 = _ferrers(theta0, K)
+        x = math.cos(theta0)
+        for k, p, q in zip(K.tolist(), P, Pm1):
+            with mp.workdps(30):
+                exact = [float(mp.legenp(mp.mpf(k) - 0.5, mu, mp.cos(mp.mpf(theta0)), type=2))
+                         for mu in (0, -1)]
+            amp = math.hypot(exact[0], k * exact[1])
+            err = max(abs(p - exact[0]), k * abs(q - exact[1])) / amp
+            # lpmv's order 1 has the Condon-Shortley phase: P^1 = -(K^2 - 1/4) P^(-1)
+            old = lpmv(0, k - 0.5, x), -lpmv(1, k - 0.5, x) / (k * k - 0.25)
+            err_lpmv = max(abs(old[0] - exact[0]), k * abs(old[1] - exact[1])) / amp
+            floor = 2 * (1 + theta0 * (k + abs(x / math.sin(theta0)))) * np.finfo(float).eps
+            assert err <= max(err_lpmv, floor), (k, err, err_lpmv, floor)
+
+    def test_pivot_count_matches_lapack(self):
+        # the index check's plain-Python LDL^T count against LAPACK's, on
+        # midpoints of consecutive eigenvalues of 200 random check matrices
+        # and on a shift equal to one of their eigenvalues
+        from scipy.linalg import eigh_tridiagonal
+
+        def lapack_count(d, e, value):
+            # a tolerance as wide as the range stops the bisection at once
+            return eigh_tridiagonal(d, e, eigvals_only=True, select="v",
+                                    select_range=(-1.0, value), tol=value + 1.0).size
+
+        rng = np.random.default_rng(28)
+        for _ in range(200):
+            n, m = int(rng.integers(3, 9)), int(rng.integers(0, 8))
+            theta0 = float(rng.uniform(0.2, 3.05))
+            d, e = _cap_tridiagonal(n, theta0, m, CHECK_GRID)
+            rows = d.tolist(), [0.0] + (e * e).tolist()
+            lam = eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(0, 3))
+            for value in [*((lam[:-1] + lam[1:]) / 2), lam[1]]:
+                assert _sturm_count(*rows, float(value)) == lapack_count(d, e, value)
+
+    @pytest.mark.parametrize("n,theta0", [(4, 1.0), (5, 2.2)])
+    def test_queries_extend_one_scan_per_order(self, monkeypatch, n, theta0):
+        # lambda_min, lowest and neighbours extend one state per order: no
+        # order evaluates its ladder twice at a point of its scan grid
+        # start + SCAN_STEP * j, whose first point is the order's first
+        # evaluation, or builds its check matrix twice (no index check fails
+        # here, so no order restarts)
+        from rellich_cone import spectra
+        ladder, build = spectra._ladder, spectra._cap_tridiagonal
+        starts, points, matrices = {}, Counter(), Counter()
+
+        def recording_ladder(n, theta0, m, K):
+            start = starts.setdefault(m, float(K[0]))
+            grid = K[start + SCAN_STEP * np.round((K - start) / SCAN_STEP) == K]
+            points.update((m, k) for k in grid.tolist())
+            return ladder(n, theta0, m, K)
+
+        def recording_build(n, theta0, m, grid):
+            matrices[m] += 1
+            return build(n, theta0, m, grid)
+
+        monkeypatch.setattr(spectra, "_ladder", recording_ladder)
+        monkeypatch.setattr(spectra, "_cap_tridiagonal", recording_build)
+        spec = cap_spectrum(n, theta0)
+        listed = spec.lowest(16)
+        assert spec.neighbours(2 * listed[-1])[0] > listed[-1]
+        assert spec.lowest(4) == listed[:4] and spec.lambda_min == listed[0]
+        assert len(matrices) > 3 and max(matrices.values()) == 1
+        assert len(points) > 100 and max(points.values()) == 1
+
     @pytest.mark.parametrize("n,theta0", [
         (3, 0.4), (3, 2.2), (4, 1.3), (5, 0.7), (5, 2.6), (6, 1.9), (7, 1.0), (8, 2.4),
         # order 3's lowest root lies 1.3e-5 above the scan start K = 5; a
@@ -269,14 +366,14 @@ class TestCap:
     def test_unresolvable_neighbours_fail_in_first_order(self, monkeypatch):
         from rellich_cone import spectra
         orders = []
-        build = spectra._cap_tridiagonal
+        split = spectra._CapOrder.split
 
-        def recording(n, theta0, m, grid):
-            orders.append(m)
-            return build(n, theta0, m, grid)
+        def recording(order, bound):
+            orders.append(order.m)
+            return split(order, bound)
 
         spec = cap_spectrum(3, 1.0)
-        monkeypatch.setattr(spectra, "_cap_tridiagonal", recording)
+        monkeypatch.setattr(spectra._CapOrder, "split", recording)
         start = time.perf_counter()
         with pytest.raises(ConvergenceError, match="did not converge"):
             spec.neighbours(1e9)

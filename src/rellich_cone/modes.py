@@ -291,8 +291,13 @@ def _solve_smallest(A, Bl, Cl, L, N):
     x = _dst1(y, N, parity)
     x /= np.linalg.norm(x)
     Dx = _matvec(D, x)
-    # backward error relative to the operator scale
-    residual = float(np.linalg.norm(_matvec(P, x) - mu * Dx)) / (norm_P + abs(mu) * norm_D)
+    # backward error relative to the operator scale; a scaled norm would pass
+    # the wrong minima of a band this large, so an overflow fails instead
+    with np.errstate(over="ignore"):
+        residual = float(np.linalg.norm(_matvec(P, x) - mu * Dx)) / (norm_P + abs(mu) * norm_D)
+    if residual == math.inf:
+        raise SolverError(f"eigensolver residual overflows: its squared norm leaves the double "
+                          f"range (about 1.8e308) {where}")
     if not residual <= RESIDUAL_TOL:  # NaN fails too
         raise SolverError(f"eigensolver residual {residual:.3e} above tolerance "
                           f"{RESIDUAL_TOL:.1e} {where}")

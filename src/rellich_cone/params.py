@@ -244,7 +244,11 @@ class EqualityCertificate(Enum):
     * ``DIMENSION_TWO``: n = 2; equality with the mode minimum holds for
       every alpha != 2 on the full sphere.
     * ``OUTSIDE_BREAKING_STRIP``: full sphere, n >= 3, alpha outside the
-      strip [4-n, threshold); equality with the mode minimum.
+      strip [4-n, threshold); equality with the mode minimum.  ``classify``
+      never returns it, since the checks before it cover that range: below
+      4-n, gamma - 2h = (n-4+alpha)(8-n-3 alpha)/4 < 0 = lambda_min is the
+      gap condition, and from the threshold bound up the gap condition or
+      ``RADIAL_RANGE`` applies.  The member stays as a public name.
     * ``RADIAL_RANGE``: full sphere, n >= 3, alpha between the threshold
       bound and n; the constant equals the radial constant.
     * ``CRITICAL_CLOSED_FORM``: alpha = 4 - n on the full sphere; the

@@ -438,14 +438,6 @@ def _illinois(f, a, b, fa, fb):
     return b
 
 
-def _ladder_roots(f, start: float, step: float, top: float, limit: int):
-    """Ascending roots of ``f`` above ``start``, through the second at or above
-    ``top`` or past the first ``limit``, in one extension of :class:`_Roots`."""
-    import numpy as np
-
-    return np.array(_Roots(f, start, step).extend(top, limit))
-
-
 class _CapOrder:
     """Azimuthal order m's eigenvalues on the cap, solved only as far as asked.
 
@@ -508,11 +500,6 @@ class _CapOrder:
                     f"below {bound:.6g} disagree with the Sturm counts on grid {CHECK_GRID}")
             self.refinements += 1
             self._restart(self.scan.step / 2)
-
-
-def _cap_order(n: int, theta0: float, m: int, bound: float):
-    """Order m's eigenvalues below ``bound``, ascending, and its first at or above it."""
-    return _CapOrder(n, theta0, m).split(bound)
 
 
 def _cap_split(orders: list, n: int, theta0: float, bound: float):

@@ -13,7 +13,10 @@ ratio) and
     |grad u|^2 -> R'^2 + lambda R^2 / r^2.
 
 All integrals are evaluated by composite Gauss-Legendre quadrature in log
-radius; no n-dimensional cubature appears anywhere.  The module also
+radius; no n-dimensional cubature appears anywhere.  One pass per panel
+count builds the nodes, evaluates R, R' and R'' there once and forms every
+integrand of the call from those arrays; the coarse and fine panel counts
+then gate each integral on its own.  The module also
 verifies the radial integral identity behind the radial best constant
 
     int |x|^a |Du|^2 = ((n-a)/2)^2 int |x|^(a-2)|grad u|^2 + int |x|^(2-n)|grad v|^2
@@ -105,9 +108,17 @@ def _gauss_rule(nodes):
     return x, w
 
 
-def _log_gauss(fn, r_lo, r_hi, panels, nodes=GL_NODES):
-    """integral fn(r) dr over [r_lo, r_hi] via Gauss-Legendre in t = log r."""
-    x, w = _gauss_rule(nodes)
+def _auto_panels(r_lo, r_hi):
+    width = math.log(r_hi) - math.log(r_lo)
+    return max(24, int(math.ceil(2.0 * width)))
+
+
+def _log_gauss_pass(profile, integrands, panels):
+    """Every integral of ``integrands(r, R, R', R'')`` dr over the profile's
+    support via Gauss-Legendre in t = log r, on one node set and one
+    evaluation of the profile."""
+    x, w = _gauss_rule(GL_NODES)
+    r_lo, r_hi = profile.support
     a, b = math.log(r_lo), math.log(r_hi)
     edges = np.linspace(a, b, panels + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
@@ -115,30 +126,29 @@ def _log_gauss(fn, r_lo, r_hi, panels, nodes=GL_NODES):
     t = (mids[:, None] + halves[:, None] * x[None, :]).ravel()
     weights = (halves[:, None] * w[None, :]).ravel()
     r = np.exp(t)
-    return float(np.sum(weights * fn(r) * r))
+    arrays = integrands(r, profile.value(r), profile.d1(r), profile.d2(r))
+    return [float(np.sum(weights * f * r)) for f in arrays]
 
 
-def _auto_panels(r_lo, r_hi):
-    width = math.log(r_hi) - math.log(r_lo)
-    return max(24, int(math.ceil(2.0 * width)))
+def _converged_integrals(profile, integrands, panels=None, ref_scales=None):
+    """Evaluate at two panel counts and keep the fine values, or report failure.
 
-
-def _converged_integral(fn, r_lo, r_hi, panels=None, ref_scale=0.0):
-    """Evaluate at two panel counts and keep the fine value, or report failure.
-
-    ``ref_scale`` supplies an external magnitude for integrals whose exact
+    Each integral is gated on its own, in order.  ``ref_scales(*fine)``
+    supplies one external magnitude per integral, for integrals whose exact
     value is (near) zero, where a self-relative comparison is meaningless.
     """
     if panels is None:
-        panels = _auto_panels(r_lo, r_hi)
-    coarse = _log_gauss(fn, r_lo, r_hi, panels)
-    fine = _log_gauss(fn, r_lo, r_hi, 2 * panels)
-    scale = max(abs(coarse), abs(fine), abs(ref_scale))
-    if scale > 0 and abs(fine - coarse) > QUAD_RTOL * scale:
-        raise ConvergenceError(
-            f"quadrature did not converge: {panels} panels give {coarse!r}, "
-            f"{2 * panels} panels give {fine!r}"
-        )
+        panels = _auto_panels(*profile.support)
+    coarse = _log_gauss_pass(profile, integrands, panels)
+    fine = _log_gauss_pass(profile, integrands, 2 * panels)
+    refs = ref_scales(*fine) if ref_scales else [0.0] * len(fine)
+    for c, f, ref in zip(coarse, fine, refs):
+        scale = max(abs(c), abs(f), abs(ref))
+        if scale > 0 and abs(f - c) > QUAD_RTOL * scale:
+            raise ConvergenceError(
+                f"quadrature did not converge: {panels} panels give {c!r}, "
+                f"{2 * panels} panels give {f!r}"
+            )
     return fine
 
 
@@ -155,19 +165,13 @@ def weighted_integrals(u: XTestFunction, alpha: float, panels: int | None = None
     """
     n, lam = u.n, float(u.eigenvalue)
     alpha = float(alpha)
-    R, R1, R2 = u.profile.value, u.profile.d1, u.profile.d2
-    r_lo, r_hi = u.profile.support
 
-    def lhs_fn(r):
-        lap = R2(r) + (n - 1) * R1(r) / r - lam * R(r) / r**2
-        return r ** (alpha + n - 1) * lap**2
+    def integrands(r, R, R1, R2):
+        lap = R2 + (n - 1) * R1 / r - lam * R / r**2
+        return (r ** (alpha + n - 1) * lap**2,
+                r ** (alpha + n - 3) * (R1**2 + lam * R**2 / r**2))
 
-    def rhs_fn(r):
-        return r ** (alpha + n - 3) * (R1(r) ** 2 + lam * R(r) ** 2 / r**2)
-
-    lhs = _converged_integral(lhs_fn, r_lo, r_hi, panels)
-    rhs = _converged_integral(rhs_fn, r_lo, r_hi, panels)
-    return lhs, rhs
+    return tuple(_converged_integrals(u.profile, integrands, panels))
 
 
 def weighted_quotient(u: XTestFunction, alpha: float, panels: int | None = None) -> float:
@@ -208,28 +212,23 @@ def radial_identity_check(u: XTestFunction, alpha: float) -> RadialIdentityResul
         raise ValueError("radial identity applies to radial functions only")
     n = u.n
     alpha = float(alpha)
-    R1, R2 = u.profile.d1, u.profile.d2
-    r_lo, r_hi = u.profile.support
     m = (n - 2 + alpha) / 2.0
+    radial_factor = ((n - alpha) / 2) ** 2
 
-    lhs = _converged_integral(
-        lambda r: r ** (alpha + n - 1) * (R2(r) + (n - 1) * R1(r) / r) ** 2, r_lo, r_hi
-    )
-    term_radial = ((n - alpha) / 2) ** 2 * _converged_integral(
-        lambda r: r ** (alpha + n - 3) * R1(r) ** 2, r_lo, r_hi
-    )
+    def integrands(r, R, R1, R2):
+        v = r**m * R1
+        v1 = m * r ** (m - 1) * R1 + r**m * R2
+        return (r ** (alpha + n - 1) * (R2 + (n - 1) * R1 / r) ** 2,
+                r ** (alpha + n - 3) * R1**2,
+                r * v1**2,
+                v * v1)
 
-    def v(r):
-        return r**m * R1(r)
-
-    def v1(r):
-        return m * r ** (m - 1) * R1(r) + r**m * R2(r)
-
-    term_v = _converged_integral(lambda r: r * v1(r) ** 2, r_lo, r_hi)
     # the cross integrand is an exact total derivative: its value is 0 and the
     # meaningful convergence scale is the size of the identity itself
-    cross = _converged_integral(lambda r: v(r) * v1(r), r_lo, r_hi,
-                                ref_scale=max(lhs, term_radial))
+    lhs, radial, term_v, cross = _converged_integrals(
+        u.profile, integrands,
+        ref_scales=lambda lhs, radial, *_: (0.0, 0.0, 0.0, max(lhs, radial_factor * radial)))
+    term_radial = radial_factor * radial
     return RadialIdentityResult(
         defect=abs(lhs - term_radial - term_v) / abs(lhs),
         cross_term=abs(cross) / abs(term_radial),

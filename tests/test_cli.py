@@ -352,6 +352,16 @@ class TestScan:
         assert "double range" in done.stderr
         assert "Traceback" not in done.stderr and "Warning" not in done.stderr
 
+    def test_numeric_sweep_residual_norm_past_double_range_exit_4(self):
+        # from about 5e45 the residual's scale is finite too, but the residual
+        # vector's squared norm overflows: the double-range message, without
+        # numpy's overflow warning and an inf residual
+        done = run_cli_bounded("scan", "--n", "3", "--alpha-from=5e45", "--alpha-to=5e45",
+                               "--step=1e40", "--with-numeric")
+        assert done.returncode == 4
+        assert "double range" in done.stderr
+        assert "Traceback" not in done.stderr and "Warning" not in done.stderr
+
     @pytest.mark.parametrize("flag, value, key", [
         ("--mode-n", "0", "scan_N"),
         ("--mode-l", "0", "scan_L"),

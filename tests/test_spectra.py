@@ -27,10 +27,10 @@ from rellich_cone.spectra import (
     CHECK_GRID,
     SCAN_STEP,
     _cap_fd,
-    _cap_order,
     _cap_tridiagonal,
+    _CapOrder,
     _ferrers,
-    _ladder_roots,
+    _Roots,
     _sturm_count,
 )
 
@@ -159,7 +159,7 @@ class TestCap:
         # on S^3 order 0 reduces to a sine equation: (j pi/theta0)^2 - 1
         for theta0 in (1.0, 1.5, 2.5):
             bound = (6 * np.pi / theta0) ** 2 - 1.5
-            values, above = _cap_order(4, theta0, 0, bound)
+            values, above = _CapOrder(4, theta0, 0).split(bound)
             exact = [(j * np.pi / theta0) ** 2 - 1 for j in range(1, 7)]
             assert values + [above] == pytest.approx(exact, rel=1e-14)
 
@@ -172,7 +172,7 @@ class TestCap:
         assert cap_spectrum(n, np.pi / 2).lowest(40) == pytest.approx(exact, rel=1e-14)
 
     def test_hemisphere_n4_order_one(self):
-        values, above = _cap_order(4, np.pi / 2, 1, 40.0)
+        values, above = _CapOrder(4, np.pi / 2, 1).split(40.0)
         assert values + [above] == pytest.approx([8, 24, 48], rel=1e-14)
 
     @pytest.mark.parametrize("n,theta0,m,lo,hi", [
@@ -183,14 +183,14 @@ class TestCap:
     ])
     def test_hypergeometric_oracle(self, cap_oracle, n, theta0, m, lo, hi):
         oracle = cap_oracle(n, m, theta0, lo, hi)
-        _, first = _cap_order(n, theta0, m, 0.0)
+        _, first = _CapOrder(n, theta0, m).split(0.0)
         assert first == pytest.approx(oracle, rel=1e-11)
 
     @pytest.mark.parametrize("theta0", [3.0407, 3.0089])
     def test_odd_start_oracle_near_pi(self, cap_oracle, theta0):
         # scipy's lpmv put order 3's bottom 3.2e-11 and 5.1e-12 off here
         oracle = cap_oracle(5, 3, theta0, 17.99, 18.01)
-        _, first = _cap_order(5, theta0, 3, 0.0)
+        _, first = _CapOrder(5, theta0, 3).split(0.0)
         assert first == pytest.approx(oracle, rel=1e-14)
 
     @pytest.mark.parametrize("theta0", [0.05, 0.3, 1.0, np.pi / 2, 2.5, 2.9, 3.13])
@@ -297,7 +297,7 @@ class TestCap:
     def test_exact_zero_at_a_scan_point_is_one_root(self):
         # hemisphere roots such as K = 3/2 at n = 3 land on scan points
         f = lambda K: (K - 1.5) * (K - 2.25) * (K - 3.0) * (K - 3.5)
-        roots = _ladder_roots(f, 1.0, 0.25, 2.0, 64)
+        roots = np.array(_Roots(f, 1.0, 0.25).extend(2.0, 64))
         assert roots.tolist() == [1.5, 2.25, 3.0, 3.5]
 
     def test_unresolvable_lambda_min_reported(self):

@@ -88,6 +88,37 @@ class TestRadialIdentity:
         assert radial_identity_check(u, 0.5).defect <= 1e-8
 
 
+class TestOnePassPerNodeSet:
+    """The profile is evaluated once per node set: the coarse and the fine
+    panel count each call value, d1 and d2 once, however many integrands
+    the call forms."""
+
+    class Counting:
+        def __init__(self, profile):
+            self.profile, self.calls = profile, {"value": 0, "d1": 0, "d2": 0}
+            self.support = profile.support
+
+        def __getattr__(self, name):
+            fn = getattr(self.profile, name)
+
+            def counted(r):
+                self.calls[name] += 1
+                return fn(r)
+
+            return counted
+
+    def test_each_derivative_once_per_node_set(self, corpus):
+        entry = next(e for e in corpus if e.mode == 0)
+        u = entry.function
+        proxy = self.Counting(u.profile)
+        counted = XTestFunction(profile=proxy, eigenvalue=0.0, n=u.n)
+        assert radial_identity_check(counted, entry.alpha) == radial_identity_check(u, entry.alpha)
+        assert max(proxy.calls.values()) <= 2
+        proxy.calls = dict.fromkeys(proxy.calls, 0)
+        assert weighted_integrals(counted, entry.alpha) == weighted_integrals(u, entry.alpha)
+        assert max(proxy.calls.values()) <= 2
+
+
 class TestWitnesses:
     def test_three_zero(self):
         w = symmetry_breaking_witness(3, 0.0)

@@ -16,11 +16,10 @@ failure, 4 numerical-resolution failure (a discretization that did not
 converge or an eigensolver breakdown).
 
 ``verify`` imports its modules when it runs, so the other subcommands load
-numpy only for cap domains and ``scan --with-numeric``, and never scipy:
-only ``verify spectra`` (and so ``verify all``) loads it, for the
-finite-difference check of caps.  The config file (``--config`` or
-``$RELLICH_CONE_CONFIG``) sets the resolution of ``scan --with-numeric``
-only; every subcommand still rejects a bad one with exit 2.
+numpy only for cap domains and ``scan --with-numeric``; no subcommand loads
+scipy.  The config file (``--config`` or ``$RELLICH_CONE_CONFIG``) sets the
+resolution of ``scan --with-numeric`` only; every subcommand still rejects
+a bad one with exit 2.
 """
 
 from __future__ import annotations

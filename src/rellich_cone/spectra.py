@@ -6,10 +6,10 @@ Supported domains Sigma inside the unit sphere S^(n-1):
 * geodesic caps of radius theta0 in (0, pi) for n >= 3: each azimuthal
   order's eigenvalues are the roots of a Legendre function, evaluated by an
   elementary ladder (started for odd n from Mehler-Dirichlet integrals) and
-  polished to full precision; a finite-difference Sturm count in plain
-  Python checks every root's index, so that a cap solve needs numpy alone,
-  and finite differences with Richardson extrapolation (through scipy) are
-  kept as the independent check;
+  polished to full precision; Chebyshev collocation, a second
+  discretization, checks every root's index, and the same collocation at
+  two sizes is the independent check of ``verify spectra``, so that caps
+  need numpy alone;
 * arcs of length L in (0, 2*pi) for n = 2, with the exact interval
   spectrum {(k*pi/L)^2 : k = 1, 2, ...};
 * explicit user-supplied eigenvalue lists.
@@ -28,7 +28,6 @@ import bisect
 import functools
 import itertools
 import math
-import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -205,85 +204,75 @@ def explicit_spectrum(values) -> Spectrum:
 
 # ---------------------------------------------------------------------------
 # geodesic caps: each azimuthal order's eigenvalues are the roots of a
-# Legendre ladder; a finite-difference Sturm count checks every root's index.
-# numpy is imported inside these functions, so that the sphere, arc and
-# explicit spectra do not load it; only ``_cap_fd``, the second
-# discretization behind ``verify spectra``, loads scipy.
+# Legendre ladder; Chebyshev collocation, a second discretization, checks
+# every root's index.  numpy is imported inside these functions, so that the
+# sphere, arc and explicit spectra do not load it; nothing here loads scipy.
 # ---------------------------------------------------------------------------
 
-# rows of the index check's finite-difference matrix; its lowest
-# CHECK_GRID // 32 eigenvalues of an order are trusted to keep their order
-CHECK_GRID = 2048
 SCAN_STEP = 0.25  # in K; the roots of one order lie about 1 or more apart
 REFINEMENTS = 3  # halvings of the scan step before an index disagreement is reported
 GAUSS_NODES = 20  # Gauss-Legendre nodes per panel of the Mehler-Dirichlet integrals
+# Collocation sizes of the index check, odd so that the pole is no node.
+# Trust rule: size N confirms the count at the midpoint of roots i and i + 1
+# of an order with nu = m + (n-3)/2 if TRUST (i + 1) + floor(nu) <= N.  It
+# held with an index to spare on 8355 (order, size) pairs (n <= 16, theta0
+# in [0.05, 3.135], m <= 45, 80 roots each); TestCap::test_trust_rule in
+# tests/test_spectra.py keeps the tightest.  An index alone does not do:
+# order 20 at N = 21 confirms index 1 only.  Sizes past 321 serve large nu.
+# Median time of one collocation (2-vCPU x86-64, OpenBLAS): 0.10, 0.16,
+# 0.43, 2.2, 10, 31 and 240 ms by size.
+COLLOCATION_SIZES = (21, 41, 81, 161, 321, 641, 1281)
+TRUST = 5
+CEILING = 64  # roots an order scans for one bound: what size 321 confirms at nu < 1
 
 
-def _cap_tridiagonal(n: int, theta0: float, m: int, grid: int):
-    """Symmetric tridiagonal (d, e) whose eigenvalues approximate order m's on the cap.
+@functools.cache
+def _chebyshev(N: int):
+    """Chebyshev points x_j = cos(j pi / N) in (0, 1), j = 1 .. (N-1)/2, and
+    the rows there of the differentiation matrices D and D^2 on all N + 1
+    points (Trefethen, *Spectral Methods in MATLAB*, SIAM 2000, ch. 6), each
+    split into its columns at the same points and at the mirror images -x_j.
+    Built on first use and read-only, since every order shares them."""
+    import numpy as np
 
-    The problem -(w phi')'/w + m(m+n-3) sin^(-2) phi = lam phi, w = sin^(n-2),
-    phi(theta0) = 0, regular at the pole, depends on n and m only through
-    nu = m + (n-3)/2 (Liouville form, see ``_ladder``): it is discretized as
-    order m + (n-n0)/2 with n0 = 3 or 4, whose weight cannot underflow, and
-    shifted by ((n0-2)^2 - (n-2)^2)/4.  Conservative second-order finite
-    differences: fluxes at cell edges, diagonal mass from cell integrals of
-    w.  For m = 0 the pole node is included with zero flux through it; for
-    m >= 1 the potential enforces phi(0) = 0 and the pole node is excluded.
+    j = np.arange(N + 1)
+    x = np.cos(np.pi * j / N)
+    c = np.where(j % N == 0, 2.0, 1.0) * (-1.0) ** j
+    D = np.outer(c, 1 / c) / (np.subtract.outer(x, x) + np.eye(N + 1))
+    D -= np.diag(D.sum(axis=1))
+    rows, mirror = slice(1, (N + 1) // 2), slice(N - 1, (N - 1) // 2, -1)
+    out = [x[rows]] + [M[rows, cols] for M in (D, D @ D) for cols in (rows, mirror)]
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _collocation(n: int, theta0: float, m: int, N: int):
+    """Order m's eigenvalues on the cap by Chebyshev collocation at size N on
+    (-theta0, theta0), ascending by real part as a complex array, and the
+    eigensolver's backward error eps (||A||_inf + |shift|), A the matrix.
+
+    phi'' + (n-2) cot phi' - m(m+n-3)/sin^2 phi = -lam phi depends on n and m
+    only through nu = m + (n-3)/2: it is solved in dimension n0 = 3 or 4 at
+    order floor(nu) (bounded coefficients) and shifted by ((n0-2)^2 -
+    (n-2)^2)/4.  A regular solution of order floor(nu) extends across the
+    pole with parity (-1)^floor(nu), so the unknowns are its values at the
+    (N-1)/2 positive points, and the mirrored columns fold in with that sign
+    (Trefethen, ch. 11).  A is not symmetric: a poorly resolved pair may
+    come out complex.
     """
     import numpy as np
 
-    n0 = 4 - n % 2
-    n, m, shift = n0, m + (n - n0) // 2, ((n0 - 2) ** 2 - (n - 2) ** 2) / 4
-    N = grid
-    dx = theta0 / N
-    nu = m * (m + n - 3)
-    # edge weights at (i + 1/2) dx for i = 0 .. N-1
-    w_edge = np.sin((np.arange(N) + 0.5) * dx) ** (n - 2)
-
-    def cell_mass(left, right):
-        # Simpson on each cell; exact enough to keep the scheme second order
-        mid = 0.5 * (left + right)
-        f = lambda t: np.sin(t) ** (n - 2)
-        return (right - left) / 6.0 * (f(left) + 4.0 * f(mid) + f(right))
-
-    if m == 0:
-        # nodes theta_0 = 0, theta_1, ..., theta_{N-1}; Dirichlet at theta_N
-        nodes = np.arange(N) * dx
-        k = N
-        lower = -w_edge[: k - 1] / dx
-        diag = np.empty(k)
-        diag[0] = w_edge[0] / dx           # no flux through the pole
-        diag[1:] = (w_edge[: k - 1] + w_edge[1:k]) / dx
-        mass = cell_mass(np.maximum(nodes - dx / 2, 0.0), nodes + dx / 2)
-    else:
-        # nodes theta_1, ..., theta_{N-1}; phi(0) = 0 and phi(theta0) = 0
-        nodes = np.arange(1, N) * dx
-        k = N - 1
-        lower = -w_edge[1:k] / dx
-        diag = (w_edge[:k] + w_edge[1 : k + 1]) / dx
-        diag = diag + nu * np.sin(nodes) ** (n - 4) * dx
-        mass = np.sin(nodes) ** (n - 2) * dx
-    # symmetrize the generalized problem with the diagonal mass
-    inv_sqrt = 1.0 / np.sqrt(mass)
-    return diag * inv_sqrt**2 + shift, lower * inv_sqrt[:-1] * inv_sqrt[1:]
-
-
-def _sturm_count(d, e2, value) -> int:
-    """Eigenvalues below ``value`` of the symmetric tridiagonal matrix with
-    diagonal ``d`` and squared off-diagonal ``e2`` (``e2[0] = 0``), as floats.
-
-    They are the negative pivots q_i = d_i - e2_i / q_(i-1) - value of its
-    LDL^T factorization, in LAPACK's order of operations (``dlaebz``); a zero
-    pivot counts as negative and continues as the smallest negative double.
-    """
-    count, q = 0, 1.0
-    for a, b in zip(d, e2):
-        q = a - b / q - value
-        if q <= 0.0:
-            count += 1
-            q = q or -sys.float_info.min
-    return count
+    n0, m = 4 - n % 2, m + (n - 3) // 2
+    x, D, D_mirror, D2, D2_mirror = _chebyshev(N)
+    sign, theta = (-1) ** m, theta0 * x
+    A = (D2 + sign * D2_mirror) / theta0**2
+    A += ((n0 - 2) / (theta0 * np.tan(theta)))[:, None] * (D + sign * D_mirror)
+    A[np.diag_indices_from(A)] -= m * (m + n0 - 3) / np.sin(theta) ** 2
+    shift = ((n0 - 2) ** 2 - (n - 2) ** 2) / 4
+    lam = shift - np.linalg.eigvals(A).astype(complex)
+    error = np.finfo(float).eps * (np.abs(A).sum(axis=1).max() + abs(shift))
+    return lam[np.argsort(lam.real, kind="stable")], error
 
 
 @functools.cache
@@ -429,7 +418,10 @@ def _illinois(f, a, b, fa, fb):
         if i.size == 0:
             break
         c = b[i] - fb[i] * (b[i] - a[i]) / (fb[i] - fa[i])
-        fc = f(c)
+        # a step may land on b again: f(b) is known there
+        fc, moved = fb[i], c != b[i]
+        if moved.any():
+            fc[moved] = f(c[moved])
         flip = fc * fb[i] < 0
         a[i] = np.where(flip, b[i], a[i])
         fa[i] = np.where(flip, fb[i], 0.5 * fa[i])
@@ -443,11 +435,14 @@ class _CapOrder:
 
     Every root has K > m + (n-2)/2 (order m's bottom on the full sphere is
     m(m+n-2)) and K^2 > the potential's minimum on (0, theta0); below the
-    latter the ladder loses every digit.  Index check: exactly i eigenvalues
-    of the finite-difference matrix lie below the midpoint of roots i, i + 1.
-    The state persists between bounds: a larger bound scans on, polishes the
-    new brackets and counts only the new midpoints.  A failed count halves the
-    scan step and restarts this order alone, at most REFINEMENTS times.
+    latter the ladder loses every digit.  Index check: exactly i + 1
+    collocation eigenvalues lie below the midpoint of roots i and i + 1, all
+    of them real.  Its size is the smallest that the trust rule lets confirm
+    the highest midpoint asked, and a disagreement moves it to the next
+    size; at the largest, a disagreement halves the scan step and restarts
+    this order alone, at most REFINEMENTS times.  The state persists between
+    bounds: a larger bound scans on, polishes the new brackets and counts
+    only the new midpoints, and no size is solved twice.
     """
 
     def __init__(self, n: int, theta0: float, m: int):
@@ -456,7 +451,8 @@ class _CapOrder:
         self.start = max(m + self.k, math.sqrt(max(nu * nu - 0.25, 0.0))
                          / math.sin(min(theta0, math.pi / 2)))
         self.ladder = functools.partial(_ladder, n, theta0, m)
-        self.rows = None  # the check matrix's (d, e^2) as floats, built at the first count
+        self.floor_nu = math.floor(nu)  # the collocation's order, see _collocation
+        self.size, self.values = 0, {}  # index into COLLOCATION_SIZES; eigenvalues per N
         self.refinements = 0
         self._restart(SCAN_STEP)
 
@@ -466,38 +462,50 @@ class _CapOrder:
 
     def split(self, bound: float):
         """The eigenvalues below ``bound``, ascending, and the first at or above it."""
+        import numpy as np
+
         k = self.k
         # the scan runs a hair past K at the bound, so that two roots lie above
         # it however sqrt rounds; the split itself compares eigenvalues, so an
         # eigenvalue equal to ``bound`` is never filed below it
-        top, limit = math.sqrt(bound + k * k) * (1 + 1e-12), CHECK_GRID // 32
+        top = math.sqrt(bound + k * k) * (1 + 1e-12)
         while True:
-            lam = [(K - k) * (K + k) for K in self.scan.extend(top, limit)]
+            lam = [(K - k) * (K + k) for K in self.scan.extend(top, CEILING)]
             if lam[0] <= 0:
                 raise ConvergenceError(
                     f"cap eigenvalues did not converge: lambda_min at n={self.n}, "
                     f"theta0={self.theta0} lies below the roots' resolution, about "
                     f"eps * (n-2)^2/4")
             keep = bisect.bisect_left(lam, bound)
-            if keep + 2 > len(lam):
+            need = TRUST * (keep + 1) + self.floor_nu  # the size that confirms midpoint keep
+            if keep + 2 > len(lam) or need > COLLOCATION_SIZES[-1]:
                 raise ConvergenceError(
-                    f"cap eigenvalues did not converge: order {self.m} has more than {limit} "
-                    f"below {bound:.6g}, beyond what the index check on grid {CHECK_GRID} "
-                    f"resolves")
-            if self.rows is None:
-                d, e = _cap_tridiagonal(self.n, self.theta0, self.m, CHECK_GRID)
-                self.rows = d.tolist(), [0.0] + (e * e).tolist()
+                    f"cap eigenvalues did not converge: order {self.m} has more than "
+                    f"{CEILING} below {bound:.6g}, or needs a collocation size above "
+                    f"{COLLOCATION_SIZES[-1]}: beyond what the index check resolves")
+            self.size = max(self.size, next(s for s, N in enumerate(COLLOCATION_SIZES)
+                                            if need <= N))
             while self.checked <= keep:
-                i = self.checked
-                if _sturm_count(*self.rows, (lam[i] + lam[i + 1]) / 2) != i + 1:
-                    break
-                self.checked += 1
+                N = COLLOCATION_SIZES[self.size]
+                if N not in self.values:
+                    self.values[N] = _collocation(self.n, self.theta0, self.m, N)[0]
+                values, roots = self.values[N], np.array(lam[self.checked:keep + 2])
+                count = np.searchsorted(values.real, (roots[:-1] + roots[1:]) / 2)
+                # a complex value below a midpoint fails its count
+                real = count <= np.flatnonzero(values.imag).min(initial=values.size)
+                agree = (count == np.arange(self.checked + 1, keep + 2)) & real
+                self.checked += int(np.argmin(np.append(agree, False)))
+                if self.checked <= keep:
+                    if self.size + 1 == len(COLLOCATION_SIZES):
+                        break
+                    self.size += 1
             if self.checked > keep:
                 return lam[:keep], lam[keep]
             if self.refinements == REFINEMENTS:
                 raise ConvergenceError(
                     f"cap eigenvalues did not converge: the indices of order {self.m}'s roots "
-                    f"below {bound:.6g} disagree with the Sturm counts on grid {CHECK_GRID}")
+                    f"below {bound:.6g} disagree with the collocation counts at size "
+                    f"{COLLOCATION_SIZES[-1]}")
             self.refinements += 1
             self._restart(self.scan.step / 2)
 
@@ -516,29 +524,6 @@ def _cap_split(orders: list, n: int, theta0: float, bound: float):
         above = min(above, first_above)
         if not values:
             return sorted(below), above, m
-
-
-def _cap_fd(n: int, theta0: float, count: int, grid: int):
-    """Lowest ``count`` cap eigenvalues by finite differences, as (value, error):
-    a, b of the same order and index on ``grid`` and ``2 * grid`` give (4b - a)/3
-    (the scheme is second order) and |b - a|/3, the error estimate of b."""
-    import numpy as np
-    from scipy.linalg import eigh_tridiagonal
-
-    found = []
-    for m in itertools.count():
-        grids = [_cap_tridiagonal(n, theta0, m, g) for g in (grid, 2 * grid)]
-        d, e = grids[0]
-        # once full, an order needs its values below the count-th and one more
-        last = count - 1 if len(found) < count else min(
-            count - 1, _sturm_count(d.tolist(), [0.0] + (e * e).tolist(), found[-1][0]))
-        coarse, fine = (eigh_tridiagonal(*matrix, eigvals_only=True, select="i",
-                                         select_range=(0, last), tol=np.finfo(float).tiny)
-                        for matrix in grids)
-        order = [((4 * b - a) / 3, abs(b - a) / 3) for a, b in zip(coarse, fine)]
-        if len(found) == count and order[0][0] >= found[-1][0]:
-            return found
-        found = sorted(found + order)[:count]
 
 
 def cap_spectrum(n: int, theta0: float) -> Spectrum:

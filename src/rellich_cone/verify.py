@@ -20,6 +20,7 @@ configuration reaches a check.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -47,7 +48,7 @@ from .params import (
     radial_constant,
 )
 from .report import compute_scan_rows, scan_alphas
-from .spectra import _cap_fd, arc_spectrum, cap_spectrum, full_sphere_spectrum
+from .spectra import _collocation, arc_spectrum, cap_spectrum, full_sphere_spectrum
 from .xspace import XTestFunction, radial_identity_check, symmetry_breaking_witness
 
 __all__ = ["CheckResult", "SUITE_NAMES", "run_suite", "suite_checks"]
@@ -383,11 +384,25 @@ def spectra_suite() -> list[CheckResult]:
     # the ladder roots against a second discretization, within its estimate
     cases = ((3, 1.0), (4, 2.5), (5, 0.7), (6, 2.0))
     worst = max(abs(root - value) / error for n, theta0 in cases for root, (value, error)
-                in zip(cap_spectrum(n, theta0).lowest(4), _cap_fd(n, theta0, 4, 512)))
-    out.append(_check("spectra/cap-fd-agreement", worst <= 1.0,
-                      f"4 lowest at (n, theta0) in {cases}: |root - FD| <= {worst:.1e} x "
-                      "the FD estimate |b - a|/3"))
+                in zip(cap_spectrum(n, theta0).lowest(4), _cap_collocation(n, theta0, 4, 41)))
+    out.append(_check("spectra/cap-collocation-agreement", worst <= 1.0,
+                      f"4 lowest at (n, theta0) in {cases}: |root - C| <= {worst:.1e} x "
+                      "the collocation estimate |C - c| + eps (||A|| + |shift|)"))
     return out
+
+
+def _cap_collocation(n: int, theta0: float, count: int, size: int):
+    """Lowest ``count`` cap eigenvalues by Chebyshev collocation, as (value,
+    error): the real eigenvalues c and C of the same order and index at
+    ``size`` and 2 size - 1 give C, and |C - c| (spectral convergence leaves
+    C far closer than c) plus the eigensolver's backward error as its error."""
+    found = []
+    for m in itertools.count():
+        (coarse, _), (fine, floor) = (_collocation(n, theta0, m, N) for N in (size, 2 * size - 1))
+        coarse, fine = (values[values.imag == 0].real[:count] for values in (coarse, fine))
+        if len(found) == count and fine[0] >= found[-1][0]:
+            return found
+        found = sorted(found + [(b, abs(b - a) + floor) for a, b in zip(coarse, fine)])[:count]
 
 
 # ---------------------------------------------------------------------------

@@ -123,7 +123,17 @@ class TestConstant:
         assert time.perf_counter() - start < 1.0
         assert code == 4
         assert out == ""
-        assert "did not converge" in err
+        assert "did not converge" in err and "more than 64 below" in err
+
+    def test_cap_sixty_roots_in_one_order(self, capsys):
+        # the threshold lies above 63 eigenvalues of order 0, next to the
+        # ceiling of 64 per order; the output is the one that
+        # finite-difference pivot counts on 2048 rows confirmed
+        code, out, _ = run_cli(capsys, "constant", "--n", "4", "--alpha=135",
+                               "--domain", "cap:3.0", "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[1] == ("4,135,cap:3.0,4290.25,0.00032956669862039043,,true,"
+                                       "ModeK,gap-condition,true,4419.5300819178983")
 
     @pytest.mark.parametrize("alpha", ["1e12", "-1e12"])
     def test_huge_alpha_exact_and_fast(self, capsys, alpha):

@@ -1,5 +1,5 @@
 """Import hygiene: the exact paths load neither numpy nor scipy, and the
-mode solver and the cap solver load numpy alone.
+mode solver, the cap solver and ``verify`` load numpy alone.
 
 Each case runs in a fresh interpreter, since ``sys.modules`` only grows.
 """
@@ -67,9 +67,9 @@ def test_explicit_file_constant_loads_no_numeric_stack(tmp_path):
 
 
 def test_cap_constant_still_solves():
-    # the ladder starts odd n from Mehler-Dirichlet integrals and counts the
-    # index check's pivots in plain Python: scipy.special and scipy.linalg
-    # together would add about 30 MB
+    # the ladder starts odd n from Mehler-Dirichlet integrals and the index
+    # check counts numpy collocation eigenvalues: scipy.special and
+    # scipy.linalg together would add about 30 MB
     code, out, heavy = run_cli("constant", "--n", "3", "--alpha=0", "--domain",
                                "cap:1.5707963267948966", "--format", "json")
     assert code == 0
@@ -95,6 +95,15 @@ def test_mode_solver_loads_no_root_finder_or_fft(argv):
     # prime, as the scan's 4001 is: scipy.linalg would add about 26 MB
     code, out, heavy = run_cli(*argv)
     assert code == 0 and out
+    assert heavy == ["numpy"]
+
+
+@pytest.mark.parametrize("suite", ["spectra", "all"])
+def test_verify_loads_no_scipy(suite):
+    # the cap check holds the ladder against Chebyshev collocation on numpy
+    # alone, where scipy.linalg's tridiagonal eigensolver cost about 28 MB
+    code, out, heavy = run_cli("verify", suite)
+    assert code == 0 and out.endswith(", 0 failures\n")
     assert heavy == ["numpy"]
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 from rellich_cone import (
     ConvergenceError,
@@ -24,15 +25,16 @@ from rellich_cone import (
 )
 
 from rellich_cone.spectra import (
-    CHECK_GRID,
+    COLLOCATION_SIZES,
     SCAN_STEP,
-    _cap_fd,
-    _cap_tridiagonal,
+    TRUST,
     _CapOrder,
+    _collocation,
     _ferrers,
     _Roots,
-    _sturm_count,
 )
+
+from fd_oracle import cap_fd, cap_tridiagonal, lapack_count
 
 # frozen self-convergence oracle: Richardson extrapolation of the first cap
 # eigenvalue at grids (1024, 2048) for n = 3, theta0 = pi/3
@@ -120,8 +122,8 @@ class TestCap:
         spec.lowest(2)
         assert list(spec.resolution_meta) == ["method", "m_max"]
         assert spec.resolution_meta["method"] == "legendre-ladder"
-        # the finite-difference check converges on its own grids
-        assert all(err < 1e-5 * v for v, err in _cap_fd(3, np.pi / 2, 2, 512))
+        # the finite-difference oracle converges on its own grids
+        assert all(err < 1e-5 * v for v, err in cap_fd(3, np.pi / 2, 2, 512))
         # m_max is the highest azimuthal order lowest() solved, not a cutoff
         spec.lowest(4)
         few = spec.resolution_meta["m_max"]
@@ -221,37 +223,115 @@ class TestCap:
             floor = 2 * (1 + theta0 * (k + abs(x / math.sin(theta0)))) * np.finfo(float).eps
             assert err <= max(err_lpmv, floor), (k, err, err_lpmv, floor)
 
-    def test_pivot_count_matches_lapack(self):
-        # the index check's plain-Python LDL^T count against LAPACK's, on
-        # midpoints of consecutive eigenvalues of 200 random check matrices
-        # and on a shift equal to one of their eigenvalues
-        from scipy.linalg import eigh_tridiagonal
-
-        def lapack_count(d, e, value):
-            # a tolerance as wide as the range stops the bisection at once
-            return eigh_tridiagonal(d, e, eigvals_only=True, select="v",
-                                    select_range=(-1.0, value), tol=value + 1.0).size
-
+    def test_collocation_count_matches_lapack(self):
+        # the index check's count, at the size the trust rule picks, against
+        # LAPACK's Sturm count on the finite-difference matrix, at the
+        # midpoints of consecutive eigenvalues of 200 random orders
         rng = np.random.default_rng(28)
         for _ in range(200):
             n, m = int(rng.integers(3, 9)), int(rng.integers(0, 8))
             theta0 = float(rng.uniform(0.2, 3.05))
-            d, e = _cap_tridiagonal(n, theta0, m, CHECK_GRID)
-            rows = d.tolist(), [0.0] + (e * e).tolist()
+            d, e = cap_tridiagonal(n, theta0, m, 2048)
             lam = eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(0, 3))
-            for value in [*((lam[:-1] + lam[1:]) / 2), lam[1]]:
-                assert _sturm_count(*rows, float(value)) == lapack_count(d, e, value)
+            for i, value in enumerate((lam[:-1] + lam[1:]) / 2):
+                size = next(N for N in COLLOCATION_SIZES
+                            if TRUST * (i + 1) + m + (n - 3) // 2 <= N)
+                values = _collocation(n, theta0, m, size)[0]
+                count = np.searchsorted(values.real, value)
+                assert not values[:count].imag.any()
+                assert count == lapack_count(d, e, value) == i + 1
+
+    @pytest.mark.parametrize("n,theta0,m", [
+        # the tightest of 1671 sampled orders (n up to 16, theta0 from 0.05 to
+        # 3.135, m up to 45): one index to spare at N = 21 or 41, two at 81
+        (3, 3.12, 9), (4, 0.3, 1), (6, 0.7, 0), (7, 3.12, 13), (6, 3.05, 30),
+        (5, 3.135, 45),
+        # and large n, where floor(nu) is large
+        (100, 1.0, 0), (201, 1.0, 3), (700, 1.0, 0),
+    ])
+    def test_trust_rule(self, n, theta0, m):
+        # at every size that the rule picks for one of an order's lowest 80
+        # roots, each count that it lets the size confirm agrees with the
+        # ladder's index
+        order = _CapOrder(n, theta0, m)
+        k = order.k
+        lam = np.array([(K - k) * (K + k) for K in order.scan.extend(math.inf, 80)])
+        assert lam[0] > 0
+        for N in COLLOCATION_SIZES:
+            trusted = min(max((N - m - (n - 3) // 2) // TRUST, 0), len(lam) - 1)
+            values = _collocation(n, theta0, m, N)[0]
+            count = np.searchsorted(values.real, (lam[:trusted] + lam[1:trusted + 1]) / 2)
+            assert not values[:count.max(initial=0)].imag.any()
+            assert count.tolist() == list(range(1, trusted + 1))
+            if trusted == len(lam) - 1:
+                break
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_collocation_hemisphere(self, n):
+        # order m's eigenvalues on the hemisphere are k(k + n - 2) for k >= m
+        # with k - m odd; the wrong parity would give the k - m even ones
+        for m in range(6):
+            values, error = _collocation(n, np.pi / 2, m, 41)
+            exact = [k * (k + n - 2) for k in range(m + 1, m + 8, 2)]
+            assert not values[:4].imag.any() and 0 < error < 1e-9
+            assert values[:4].real == pytest.approx(exact, rel=1e-10)
+
+    def test_complex_value_fails_its_count(self, monkeypatch):
+        # a collocation value below a midpoint with a nonzero imaginary part
+        # fails the count even where the real parts count right: the order
+        # moves on to the next size, without refining its scan
+        from rellich_cone import spectra
+        build, sizes = spectra._collocation, []
+
+        def complex_at_21(n, theta0, m, N):
+            sizes.append(N)
+            values, error = build(n, theta0, m, N)
+            if N == 21:
+                values = values.copy()
+                values[1] += 1e-3j
+            return values, error
+
+        expected = _CapOrder(4, 1.0, 0).split(60.0)
+        monkeypatch.setattr(spectra, "_collocation", complex_at_21)
+        order = _CapOrder(4, 1.0, 0)
+        assert order.split(60.0) == expected
+        assert sizes == [21, 41] and order.refinements == 0
+
+    def test_disagreement_moves_up_the_sizes(self, monkeypatch):
+        # a trust rule far too bold costs collocations, not answers: each
+        # count that fails at one size is taken again at the next, and no
+        # order refines its scan
+        from rellich_cone import spectra
+        spec = cap_spectrum(3, 2.9)
+        expected = spec.lowest(24), spec.neighbours(400.0)
+        build, builds, steps = spectra._collocation, Counter(), []
+        restart = spectra._CapOrder._restart
+
+        def recording_build(n, theta0, m, N):
+            builds[m] += 1
+            return build(n, theta0, m, N)
+
+        def recording_restart(order, step):
+            steps.append(step)
+            return restart(order, step)
+
+        monkeypatch.setattr(spectra, "TRUST", 1)
+        monkeypatch.setattr(spectra, "_collocation", recording_build)
+        monkeypatch.setattr(spectra._CapOrder, "_restart", recording_restart)
+        spec = cap_spectrum(3, 2.9)
+        assert (spec.lowest(24), spec.neighbours(400.0)) == expected
+        assert set(steps) == {SCAN_STEP} and max(builds.values()) >= 3
 
     @pytest.mark.parametrize("n,theta0", [(4, 1.0), (5, 2.2)])
     def test_queries_extend_one_scan_per_order(self, monkeypatch, n, theta0):
         # lambda_min, lowest and neighbours extend one state per order: no
         # order evaluates its ladder twice at a point of its scan grid
         # start + SCAN_STEP * j, whose first point is the order's first
-        # evaluation, or builds its check matrix twice (no index check fails
-        # here, so no order restarts)
+        # evaluation, or solves a collocation size twice (no index check
+        # fails here, so no order restarts)
         from rellich_cone import spectra
-        ladder, build = spectra._ladder, spectra._cap_tridiagonal
-        starts, points, matrices = {}, Counter(), Counter()
+        ladder, build = spectra._ladder, spectra._collocation
+        starts, points, builds = {}, Counter(), Counter()
 
         def recording_ladder(n, theta0, m, K):
             start = starts.setdefault(m, float(K[0]))
@@ -259,17 +339,17 @@ class TestCap:
             points.update((m, k) for k in grid.tolist())
             return ladder(n, theta0, m, K)
 
-        def recording_build(n, theta0, m, grid):
-            matrices[m] += 1
-            return build(n, theta0, m, grid)
+        def recording_build(n, theta0, m, N):
+            builds[m, N] += 1
+            return build(n, theta0, m, N)
 
         monkeypatch.setattr(spectra, "_ladder", recording_ladder)
-        monkeypatch.setattr(spectra, "_cap_tridiagonal", recording_build)
+        monkeypatch.setattr(spectra, "_collocation", recording_build)
         spec = cap_spectrum(n, theta0)
         listed = spec.lowest(16)
         assert spec.neighbours(2 * listed[-1])[0] > listed[-1]
         assert spec.lowest(4) == listed[:4] and spec.lambda_min == listed[0]
-        assert len(matrices) > 3 and max(matrices.values()) == 1
+        assert len({m for m, _ in builds}) > 3 and max(builds.values()) == 1
         assert len(points) > 100 and max(points.values()) == 1
 
     @pytest.mark.parametrize("n,theta0", [
@@ -281,7 +361,7 @@ class TestCap:
     def test_roots_within_fd_estimate(self, n, theta0):
         # the second discretization: every root within |b - a|/3 of FD
         roots = cap_spectrum(n, theta0).lowest(10)
-        fd = _cap_fd(n, theta0, 10, 512)
+        fd = cap_fd(n, theta0, 10, 512)
         assert len(fd) == len(roots)
         for root, (value, err) in zip(roots, fd):
             assert abs(root - value) <= err
@@ -289,7 +369,7 @@ class TestCap:
     def test_nonconvergence_reported(self):
         # a coarse grid reports a large error estimate of its own, and the
         # roots lie within it
-        coarse = _cap_fd(3, np.pi / 3, 2, 64)
+        coarse = cap_fd(3, np.pi / 3, 2, 64)
         assert all(err > 1e-5 * v for v, err in coarse)
         roots = cap_spectrum(3, np.pi / 3).lowest(2)
         assert all(abs(r - v) <= err for r, (v, err) in zip(roots, coarse))
@@ -336,7 +416,7 @@ class TestCap:
         # solving each order only up to its first root past the value finds
         # the neighbours that an independent finite-difference listing of
         # every eigenvalue below it finds, within its error estimate
-        listed = _cap_fd(n, theta0, 128, 1024)
+        listed = cap_fd(n, theta0, 128, 1024)
         assert listed[-1][0] > value
         below = max(pair for pair in listed if pair[0] < value)
         above = min(pair for pair in listed if pair[0] >= value)

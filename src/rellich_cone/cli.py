@@ -25,6 +25,7 @@ a bad one with exit 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -191,9 +192,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``main`` call and reused by later calls
+    in the same process (parse_args leaves it unchanged)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except DegenerateModeError as exc:

@@ -9,8 +9,10 @@ emitted in alpha order, and identical inputs produce byte-identical text.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .config import Config
@@ -51,8 +53,9 @@ def fmt_float(x) -> str:
     return f"{float(x):.17g}"
 
 
-def scan_alphas(alpha_from: float, alpha_to: float, step: float) -> list[float]:
-    """The grid alpha_from + k * step up to alpha_to (inclusive, fuzz 1e-12)."""
+def scan_alphas(alpha_from: float, alpha_to: float, step: float) -> Iterator[float]:
+    """The grid alpha_from + k * step up to alpha_to (inclusive, fuzz 1e-12),
+    generated lazily; the arguments are checked on the call."""
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and positive, got {step}")
     if not (math.isfinite(alpha_from) and math.isfinite(alpha_to)):
@@ -61,10 +64,8 @@ def scan_alphas(alpha_from: float, alpha_to: float, step: float) -> list[float]:
     if widest + step == widest:
         raise ValueError(f"step {step!r} is below the spacing of doubles at alpha = "
                          f"{widest!r} (alpha + step == alpha)")
-    alphas = []
-    while (a := alpha_from + len(alphas) * step) <= alpha_to + 1e-12:
-        alphas.append(a)
-    return alphas
+    grid = (alpha_from + k * step for k in itertools.count())
+    return itertools.takewhile(lambda a: a <= alpha_to + 1e-12, grid)
 
 
 def _solve_smallest(A, Bl, Cl, L, N):
@@ -83,22 +84,34 @@ def _numeric_probe(p, spectrum: Spectrum, report: ConstantReport, cfg: Config) -
     mode function (``report.attained_lambda``).  At the critical exponent
     the radial mode is solved with a pure-stiffness denominator (the L^2
     weight vanishes there) and all k_max + 1 are probed.
+
+    Branch and bound: every probed mode first gets its ``modes._pole_floor``,
+    in ascending order, which also runs the solver's double-range check.  The
+    argmin is then solved (it attains the minimum on most rows), and the
+    others in ascending order, each only when its floor lies below the best
+    value so far.  The floor bounds the mode's solve from below exactly in
+    floats, so a skipped mode could not have lowered the minimum, and the
+    value returned is bit for bit the minimum over every probed mode.  A
+    skipped mode's other solver gates do not run.
     """
+    from .modes import _pole_floor
+
     lams = spectrum.lowest(cfg.k_max + 1)
+    attained = report.attained_lambda
     if p.h != 0:
         threshold = mode_threshold(p)
         past = next((i for i, lam in enumerate(lams) if lam >= threshold), len(lams))
         lams = lams[: past + 2]
-        if report.attained_lambda not in lams:
-            lams.append(report.attained_lambda)
-    best = None
-    for lam in lams:
-        lam = float(lam)
-        value = _solve_smallest(
-            float(p.A), float(p.B) + lam, float(p.C) + lam, cfg.scan_L, cfg.scan_N
-        )[0]
-        if best is None or value < best:
-            best = value
+    lams = [float(lam) for lam in lams]
+    if attained is not None and attained not in lams:
+        lams.append(attained)
+    problems = [(float(p.A), float(p.B) + lam, float(p.C) + lam, cfg.scan_L, cfg.scan_N)
+                for lam in lams]
+    floors = [_pole_floor(*args) for args in problems]
+    best = math.inf
+    for i in sorted(range(len(lams)), key=lambda i: (lams[i] != attained, lams[i])):
+        if not floors[i] >= best:
+            best = min(best, _solve_smallest(*problems[i])[0])
     return best
 
 
@@ -109,9 +122,14 @@ def compute_scan_rows(
     with_numeric: bool = False,
     cfg: Config | None = None,
 ):
-    """Yield ScanRows in alpha order, one row at a time."""
+    """Yield ScanRows one row at a time for ``alphas``, an ascending iterable
+    read lazily; an alpha below the one before raises ValueError there."""
     cfg = cfg or Config()
-    for alpha in sorted(float(a) for a in alphas):
+    previous = -math.inf
+    for alpha in map(float, alphas):
+        if alpha < previous:
+            raise ValueError(f"alphas must ascend: {alpha!r} follows {previous!r}")
+        previous = alpha
         p = derive(n, alpha)
         report = classify(p, spectrum)
         yield ScanRow(

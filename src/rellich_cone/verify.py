@@ -172,7 +172,7 @@ def _strip_scan_checks() -> list[CheckResult]:
     out = []
     n = 5
     lo, hi = 4 - n, breaking_threshold_bound(n)
-    alphas = scan_alphas(-0.9, -0.15, 0.25)
+    alphas = list(scan_alphas(-0.9, -0.15, 0.25))
     assert all(lo < a < hi for a in alphas)
     spectrum = full_sphere_spectrum(n)
     rows = list(compute_scan_rows(n, alphas, spectrum, with_numeric=True))

@@ -15,6 +15,7 @@ import rellich_cone
 from rellich_cone import DegenerateModeError, SolverError, derive, mode_value
 from rellich_cone.cli import main
 from rellich_cone.config import Config, load_config, resolve_config
+from rellich_cone.report import compute_scan_rows, scan_alphas
 
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(rellich_cone.__file__)))
@@ -319,6 +320,27 @@ class TestScan:
                                "--alpha-to", "1", "--step", "0")
         assert code == 2
 
+    def test_alpha_grid_streams(self):
+        # the grid is generated lazily: the first alpha of a 1e15-row sweep
+        # comes at once, and a short grid holds the values the loop gave
+        start = time.perf_counter()
+        assert next(iter(scan_alphas(0.0, 1e12, 1e-3))) == 0.0
+        assert time.perf_counter() - start < 0.5
+        assert list(scan_alphas(-1.0, 2.0, 0.3)) == [-1.0 + k * 0.3 for k in range(11)]
+        assert list(scan_alphas(0.0, 1.0, 0.5)) == [0.0, 0.5, 1.0]
+
+    def test_alpha_grid_checks_its_arguments_on_the_call(self):
+        with pytest.raises(ValueError, match="step"):
+            scan_alphas(0.0, 1.0, 0.0)
+        with pytest.raises(ValueError, match="spacing of doubles"):
+            scan_alphas(1e20, 1e20, 1.0)
+
+    def test_descending_alphas_raise_at_the_first_descent(self, sphere3):
+        rows = compute_scan_rows(3, [0.0, 1.0, 1.0, 0.5, 2.0], sphere3)
+        assert [next(rows).alpha for _ in range(3)] == [0.0, 1.0, 1.0]
+        with pytest.raises(ValueError, match="0.5 follows 1.0"):
+            next(rows)
+
     @pytest.mark.parametrize("alpha_to, step", [("1", "nan"), ("inf", "1")])
     def test_non_finite_sweep_exit_2(self, capsys, alpha_to, step):
         # either one used to grow the alpha grid without end
@@ -493,6 +515,23 @@ class TestVerifyCommand:
         commands = next(a for a in build_parser()._actions if a.dest == "command")
         suite = next(a for a in commands.choices["verify"]._actions if a.dest == "suite")
         assert tuple(suite.choices) == tuple(verify_mod.SUITES) + ("all",)
+
+
+def test_repeated_calls_in_one_process_match_fresh_processes(capsys):
+    # the parser is built once per process; later calls reuse it
+    argvs = (
+        ("constant", "--n", "3", "--alpha=0.5", "--format", "json"),
+        ("scan", "--n", "3", "--alpha-from=0", "--alpha-to=1", "--step=0.5", "--with-numeric",
+         "--mode-n", "300", "--format", "csv"),
+        ("spectrum", "--n", "4", "--count", "5"),
+        ("scan", "--n", "3", "--alpha-from=0", "--alpha-to=1", "--step=0"),
+        ("constant", "--n", "5", "--alpha=-1"),
+    )
+    fresh = [run_cli_bounded(*argv) for argv in argvs]
+    for _ in range(2):
+        for argv, done in zip(argvs, fresh):
+            code, out, _ = run_cli(capsys, *argv)
+            assert (code, out) == (done.returncode, done.stdout)
 
 
 class TestConfig:

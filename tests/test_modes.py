@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,8 +32,15 @@ from rellich_cone import (
     scaled_family_value,
     window_bound_check,
 )
-from rellich_cone.modes import _assemble, _below_spectrum, _dst1, _poles, _solve_smallest
-from rellich_cone.report import compute_scan_rows
+from rellich_cone.modes import (
+    _assemble,
+    _below_spectrum,
+    _dst1,
+    _pole_floor,
+    _poles,
+    _solve_smallest,
+)
+from rellich_cone.report import _numeric_probe, compute_scan_rows
 from rellich_cone import modes
 
 # unit-test resolution: coarser than the verification default but sharp
@@ -350,6 +358,99 @@ def test_strip_gap_matches_prediction(n, alpha, lam):
     predicted = float(phi(p, lam)) / Cl**2 * (math.pi / (2 * Config().scan_L)) ** 2
     assert row.numeric_delta - row.M > 0
     assert 1 <= (row.numeric_delta - row.M) / predicted <= 1.05
+
+
+class TestPoleFloor:
+    """``modes._pole_floor`` and the probe's branch and bound on it."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(A=st.floats(-60, 60), Bl=st.floats(-50, 50), Cl=st.floats(0, 50),
+           L=st.floats(5, 100), N=st.integers(3, 400))
+    @example(A=-50.0, Bl=-600.0, Cl=1.0, L=60.0, N=200)  # |A| dx > 2: P2 < 0
+    @example(A=0.0, Bl=0.0, Cl=0.0, L=10.0, N=387)  # P2 > 0, the root just above the pole
+    @example(A=0.0, Bl=1.0, Cl=0.0, L=10.0, N=3)
+    def test_floor_is_below_the_solve_exactly(self, A, Bl, Cl, L, N):
+        # no tolerance: the probe's minimum is bit-identical only if the floor
+        # never exceeds the value the solve reports
+        try:
+            mu = _solve_smallest(A, Bl, Cl, L, N)[0]
+        except SolverError:
+            assume(False)
+        floor = _pole_floor(A, Bl, Cl, L, N)
+        P, _, dx = _assemble(A, Bl, Cl, L, N)
+        if P[2, 0] < 0:
+            assert floor == -math.inf
+        else:
+            assert floor == float(_poles(A, Bl, Cl, L, N, dx)[0].min())
+        assert floor <= mu
+
+    def test_floor_raises_the_double_range_error(self):
+        p = derive(3, 1e100)
+        with pytest.raises(SolverError, match="double range"):
+            _pole_floor(float(p.A), float(p.B), float(p.C), 100.0, 4000)
+
+    @staticmethod
+    def _probe_and_full_minimum(n, alpha, cfg):
+        """The probe's value, and the minimum over every mode it probed (each
+        one seen by the floor), each solved in full."""
+        p, spectrum = derive(n, alpha), full_sphere_spectrum(n)
+        report = classify(p, spectrum)
+        probed = []
+
+        def recording(*args):
+            probed.append(args)
+            return floor(*args)
+
+        floor = modes._pole_floor
+        with mock.patch.object(modes, "_pole_floor", recording):
+            value = _numeric_probe(p, spectrum, report, cfg)
+        return value, min(_solve_smallest(*args)[0] for args in probed), probed
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 8), alpha=st.integers(-40, 40).map(lambda k: k / 4),
+           L=st.sampled_from([5.0, 30.0, 100.0]), N=st.integers(3, 300),
+           k_max=st.integers(0, 6))
+    @example(n=3, alpha=1.0, L=100.0, N=400, k_max=6)  # critical: no argmin
+    def test_probe_equals_the_full_minimum(self, n, alpha, L, N, k_max):
+        cfg = Config(scan_L=L, scan_N=N, k_max=k_max)
+        try:
+            value, full, _ = self._probe_and_full_minimum(n, alpha, cfg)
+        except SolverError:
+            assume(False)
+        assert value == full
+
+    def test_probe_prunes_nothing_where_p2_is_negative(self):
+        # a coarse grid, |A| dx > 2 on every probed mode
+        value, full, probed = self._probe_and_full_minimum(5, -6.0, Config(scan_N=60))
+        assert value == full
+        assert all(_assemble(*args)[0][2, 0] < 0 for args in probed)
+
+    @pytest.mark.parametrize("argv, solves, probed", [
+        (("--n", "3", "--alpha-from=-2", "--alpha-to=2", "--step=0.5", "--mode-n", "400"), 9, 32),
+        # |A| dx > 2 on most modes: only the one mode with P2 >= 0 is pruned
+        (("--n", "5", "--alpha-from=-6", "--alpha-to=6", "--step=1", "--mode-n", "60"), 41, 42),
+    ])
+    def test_solve_count_of_a_fixed_sweep(self, argv, solves, probed):
+        import io
+        from contextlib import redirect_stdout
+
+        import rellich_cone.report as report_mod
+        from rellich_cone.cli import main
+
+        counts = {"solve": 0, "floor": 0}
+
+        def counting(key, fn):
+            def wrapper(*args):
+                counts[key] += 1
+                return fn(*args)
+            return wrapper
+
+        with mock.patch.object(report_mod, "_solve_smallest",
+                               counting("solve", report_mod._solve_smallest)), \
+                mock.patch.object(modes, "_pole_floor", counting("floor", modes._pole_floor)), \
+                redirect_stdout(io.StringIO()):
+            assert main(["scan", *argv, "--with-numeric", "--format", "csv"]) == 0
+        assert counts == {"solve": solves, "floor": probed}
 
 
 class TestCertifiedShift:

@@ -314,7 +314,9 @@ def _solve_smallest(A, Bl, Cl, L, N):
     else:  # mu is the pole lam_k; of a tied pair, the combination orthogonal to z
         y, tied = np.zeros(lam.size), np.flatnonzero(lam == lam[k])[:2]
         y[tied] = z[tied[::-1]] * np.array([1.0, -1.0])[: tied.size]
-    x = _dst1(y, N, parity)
+    # a power of two scales exactly and keeps the vector's norm in range:
+    # weights near 1 / Cl underflow it once Cl passes about 1e154
+    x = _dst1(np.ldexp(y, -math.frexp(float(np.abs(y).max()))[1]), N, parity)
     x /= np.linalg.norm(x)
     Dx = _matvec(D, x)
     # backward error relative to the operator scale; a scaled norm would pass

@@ -19,7 +19,11 @@ eigenvalue lambda_min (0 exactly for the full sphere, strictly positive
 otherwise), its lowest ``count`` entries, and the two entries next to any
 value.  The sphere and the arc invert their closed forms, an explicit list
 bisects, and a cap scans each azimuthal order only up to the value,
-resuming where the last query stopped.
+resuming where the last query stopped.  A cap query is one batched pass:
+the orders it touches are scanned one after the other, the roots it needs
+(each order's through its second past the value; other brackets stay
+pending) are polished in one Illinois run over all of them, the ladder
+taking one order per element, and the orders are then checked one by one.
 """
 
 from __future__ import annotations
@@ -210,6 +214,7 @@ def explicit_spectrum(values) -> Spectrum:
 # ---------------------------------------------------------------------------
 
 SCAN_STEP = 0.25  # in K; the roots of one order lie about 1 or more apart
+SCAN_BLOCK = 64  # scan points between the checks of an order's CEILING
 REFINEMENTS = 3  # halvings of the scan step before an index disagreement is reported
 GAUSS_NODES = 20  # Gauss-Legendre nodes per panel of the Mehler-Dirichlet integrals
 # Collocation sizes of the index check, odd so that the pole is no node.
@@ -336,7 +341,7 @@ def _ferrers(theta0: float, K):
     return math.sqrt(2) / math.pi * P, math.sqrt(2) / math.pi * Pm1
 
 
-def _ladder(n: int, theta0: float, m: int, K):
+def _ladder(n: int, theta0: float, m, K):
     """Order m's regular solution psi at theta0, up to a positive factor, for each K.
 
     With phi = sin^(-(n-2)/2) psi order m reads -psi'' + (nu^2 - 1/4)/sin^2 psi
@@ -349,6 +354,10 @@ def _ladder(n: int, theta0: float, m: int, K):
     sqrt(sin) P_(K-1/2)(cos) (odd n), whose derivative is
     cot/2 psi + sqrt(sin) P^1 with P^1 = -(K^2 - 1/4) P^(-1) (DLMF 14.5,
     14.9.3, 14.10).
+
+    ``m`` is one order for every K or an array of one order per K.  Each
+    element climbs only to its own order, by the same elementwise steps, so
+    its value does not depend on the other elements.
     """
     import numpy as np
 
@@ -361,73 +370,145 @@ def _ladder(n: int, theta0: float, m: int, K):
         psi = math.sqrt(s) * P
         dpsi = 0.5 * cot * psi - math.sqrt(s) * (K * K - 0.25) * Pm1
         a = 0.5
-    while a < m + (n - 3) / 2:
-        psi, dpsi = a * cot * psi - dpsi, (K * K - (a / s) ** 2) * psi + a * cot * dpsi
-        scale = np.hypot(psi, dpsi)
-        psi, dpsi = psi / scale, dpsi / scale
-        a += 1.0
-    return psi
+    # sorted by falling order, the elements still climbing at step a (those
+    # with a < nu) are a prefix
+    nu = np.broadcast_to(np.asarray(m) + (n - 3) / 2, K.shape)
+    rank = np.argsort(-nu, kind="stable")
+    nu, K2, psi, dpsi = nu[rank], (K * K)[rank], psi[rank], dpsi[rank]
+    steps = np.arange(a, nu.max(initial=a), 1.0)
+    for a, live in zip(steps.tolist(), np.searchsorted(-nu, -steps).tolist()):
+        p, d = psi[:live], dpsi[:live]
+        p, d = a * cot * p - d, (K2[:live] - (a / s) ** 2) * p + a * cot * d
+        scale = np.hypot(p, d)
+        psi[:live], dpsi[:live] = p / scale, d / scale
+    out = np.empty_like(psi)
+    out[rank] = psi
+    return out
 
 
 class _Roots:
-    """Ascending roots of ``f`` above ``start``, scanned as far as asked.
+    """Ascending roots in K of ``f(m, K)`` above ``start``, for one order ``m``,
+    scanned as far as asked.
 
-    Sign changes on start + step * j (or an exact zero there) bracket the
-    roots, and Illinois polishes each extension's new brackets at once; the
-    scan resumes where the last extension stopped, so no grid point is
-    evaluated twice and a root has the same bits whatever extension found it.
+    Sign changes on the lattice start + step * j (or an exact zero there)
+    bracket the roots.  Each scan call evaluates the lattice in chunks that
+    reach the asked top plus two root ``spacing``s, never past a multiple of
+    SCAN_BLOCK points, where the ``limit`` on brackets is checked; it
+    resumes where the last call stopped, so no lattice point is evaluated
+    twice.  Found brackets stay pending until :func:`_polish` takes them,
+    together with other orders', through the second bracket at or above the
+    top asked: a root keeps the same bits whatever call polished it.
     """
 
-    def __init__(self, f, start: float, step: float):
+    def __init__(self, f, m: int, start: float, step: float, spacing: float):
+        self.f, self.m, self.start, self.step = f, m, start, step
+        self.width = math.ceil(2 * spacing / step)  # lattice points in two root spacings
+        self.j, self.last = 0, None  # the last lattice point evaluated and f there
+        self.brackets = ([], [], [], [])  # left and right ends, f at each
+        self.roots = []  # the polished ones, from the bottom
+
+    def scan(self, top: float, limit: int):
+        """Finds brackets until two start at or above ``top``, or more than
+        ``limit`` are found at the end of a block."""
         import numpy as np
 
-        self.f, self.start, self.step, self.j = f, start, step, 0
-        self.last = f(np.array([start]))
-        # f > 0 at start, so a value <= 0 there puts a root within rounding of it
-        self.left = [start] if self.last[0] <= 0 else []
-        self.roots = list(self.left)
-
-    def extend(self, top: float, limit: int) -> list:
-        """The roots through the second bracket at or above ``top``, or past
-        the first ``limit`` brackets."""
-        import numpy as np
-
-        first, b, fa, fb = len(self.left), [], [], []
-        while len(self.left) - bisect.bisect_left(self.left, top) < 2 and len(self.left) <= limit:
-            K = self.start + self.step * np.arange(self.j, self.j + 65)
-            fK = np.concatenate((self.last, self.f(K[1:])))
+        left = self.brackets[0]
+        while len(left) - bisect.bisect_left(left, top) < 2:
+            if self.j % SCAN_BLOCK == 0 and len(left) > limit:
+                break
+            block_end = (self.j // SCAN_BLOCK + 1) * SCAN_BLOCK
+            target = (top - self.start) / self.step + self.width
+            end = (min(block_end, max(self.j + self.width, math.ceil(target)))
+                   if target < block_end else block_end)
+            K = self.start + self.step * np.arange(self.j, end + 1)
+            if self.last is None:
+                fK = self.f(self.m, K)
+                # f > 0 at start, so a value <= 0 there puts a root within rounding of it
+                if fK[0] <= 0:
+                    self._add(K[:1], K[:1], fK[:1], fK[:1])
+            else:
+                fK = np.concatenate((self.last, self.f(self.m, K[1:])))
             zero = fK[1:] == 0
             hit = np.flatnonzero(zero | (fK[:-1] * fK[1:] < 0))
-            left = np.where(zero[hit], hit + 1, hit)
-            self.left += K[left].tolist()
-            b += K[hit + 1].tolist(); fa += fK[left].tolist(); fb += fK[hit + 1].tolist()
-            self.j, self.last = self.j + 64, fK[-1:]
-        if b:
-            brackets = map(np.array, (self.left[first:], b, fa, fb))
-            self.roots += _illinois(self.f, *brackets).tolist()
+            at = np.where(zero[hit], hit + 1, hit)
+            self._add(K[at], K[hit + 1], fK[at], fK[hit + 1])
+            self.j, self.last = end, fK[-1:]
+
+    def _add(self, *ends):
+        for held, new in zip(self.brackets, ends):
+            held += new.tolist()
+
+    def wanted(self, top: float) -> range:
+        """Indices of the pending brackets through the second at or above ``top``."""
+        left = self.brackets[0]
+        return range(len(self.roots), min(len(left), bisect.bisect_left(left, top) + 2))
+
+    def extend(self, top: float, limit: int) -> list:
+        """The roots through the second bracket at or above ``top``, or all
+        that a scan stopped by ``limit`` found."""
+        self.scan(top, limit)
+        _polish([self], top)
         return self.roots
 
 
-def _illinois(f, a, b, fa, fb):
-    """Roots of ``f`` in the brackets [a, b] (a == b: a root at b), all at once."""
+def _polish(scans: list, top: float):
+    """Polishes, in one Illinois run, the wanted brackets of every scan (see
+    :meth:`_Roots.wanted`); the scans share ``f``."""
+    import numpy as np
+
+    want = [(scan, scan.wanted(top)) for scan in scans]
+    want = [(scan, i) for scan, i in want if i]
+    if not want:
+        return
+    a, b, fa, fb = (np.array([x for scan, i in want for x in scan.brackets[e][i.start:i.stop]])
+                    for e in range(4))
+    m = np.array([scan.m for scan, i in want for _ in i])
+    roots = _illinois(want[0][0].f, m, a, b, fa, fb).tolist()
+    for scan, i in want:
+        scan.roots += roots[:len(i)]
+        del roots[:len(i)]
+
+
+def _illinois(f, m, a, b, fa, fb):
+    """Roots of ``f(m, K)`` in K in the brackets [a, b] (a == b: a root at b),
+    all at once, with ``m`` one entry per bracket; a root at which ``f`` is
+    NaN, or a bracket still open after 100 steps, raises ConvergenceError."""
     import numpy as np
 
     live = a != b
     for _ in range(100):
         i = np.flatnonzero(live)
         if i.size == 0:
-            break
+            return b
         c = b[i] - fb[i] * (b[i] - a[i]) / (fb[i] - fa[i])
         # a step may land on b again: f(b) is known there
         fc, moved = fb[i], c != b[i]
         if moved.any():
-            fc[moved] = f(c[moved])
+            fc[moved] = f(m[i][moved], c[moved])
+        if np.isnan(fc).any():
+            j = int(np.flatnonzero(np.isnan(fc))[0])
+            raise ConvergenceError(
+                f"root polishing failed: the function is NaN at {float(c[j])!r} inside the "
+                f"bracket {sorted((float(a[i[j]]), float(b[i[j]])))}")
         flip = fc * fb[i] < 0
         a[i] = np.where(flip, b[i], a[i])
         fa[i] = np.where(flip, fb[i], 0.5 * fa[i])
         b[i], fb[i] = c, fc
         live[i] = (fc != 0) & (np.abs(b[i] - a[i]) > 4 * np.finfo(float).eps * b[i])
-    return b
+    if not live.any():
+        return b
+    j = int(np.flatnonzero(live)[0])
+    raise ConvergenceError(
+        f"root polishing did not converge: the bracket {sorted((float(a[j]), float(b[j])))} "
+        f"is still open after 100 steps")
+
+
+def _top(n: int, bound: float) -> float:
+    """K a hair past that of the eigenvalue ``bound``, so that two roots lie
+    above it however sqrt rounds; a split itself compares eigenvalues, so an
+    eigenvalue equal to ``bound`` is never filed below it."""
+    k = (n - 2) / 2
+    return math.sqrt(bound + k * k) * (1 + 1e-12)
 
 
 class _CapOrder:
@@ -435,14 +516,16 @@ class _CapOrder:
 
     Every root has K > m + (n-2)/2 (order m's bottom on the full sphere is
     m(m+n-2)) and K^2 > the potential's minimum on (0, theta0); below the
-    latter the ladder loses every digit.  Index check: exactly i + 1
+    latter the ladder loses every digit.  Its roots are scanned by
+    :meth:`reach` (or by ``split`` itself) and polished together with other
+    orders' by :func:`_polish`.  Index check: exactly i + 1
     collocation eigenvalues lie below the midpoint of roots i and i + 1, all
     of them real.  Its size is the smallest that the trust rule lets confirm
     the highest midpoint asked, and a disagreement moves it to the next
     size; at the largest, a disagreement halves the scan step and restarts
     this order alone, at most REFINEMENTS times.  The state persists between
-    bounds: a larger bound scans on, polishes the new brackets and counts
-    only the new midpoints, and no size is solved twice.
+    bounds: a larger bound scans on, polishes the new brackets it needs and
+    counts only the new midpoints, and no size is solved twice.
     """
 
     def __init__(self, n: int, theta0: float, m: int):
@@ -450,25 +533,36 @@ class _CapOrder:
         self.k, nu = (n - 2) / 2, m + (n - 3) / 2
         self.start = max(m + self.k, math.sqrt(max(nu * nu - 0.25, 0.0))
                          / math.sin(min(theta0, math.pi / 2)))
-        self.ladder = functools.partial(_ladder, n, theta0, m)
+        self.ladder = functools.partial(_ladder, n, theta0)
         self.floor_nu = math.floor(nu)  # the collocation's order, see _collocation
         self.size, self.values = 0, {}  # index into COLLOCATION_SIZES; eigenvalues per N
         self.refinements = 0
         self._restart(SCAN_STEP)
 
     def _restart(self, step: float):
-        self.scan = _Roots(self.ladder, self.start, step)
+        # roots lie about pi / theta0 apart in K
+        self.scan = _Roots(self.ladder, self.m, self.start, step, math.pi / self.theta0)
         self.checked = 0  # midpoints whose count agreed, from the bottom
+
+    def reach(self, bound: float) -> bool:
+        """Scans this order's brackets for ``split(bound)`` and tells whether
+        the next order is worth scanning too: whether this one may have a
+        root below ``bound`` with lambda > 0, stopped short of its CEILING,
+        and passes the index check's size limit with the roots that are
+        surely below ``bound`` (brackets that end below it)."""
+        top = _top(self.n, bound)
+        self.scan.scan(top, CEILING)
+        left, right = self.scan.brackets[:2]
+        surely = bisect.bisect_left(right, math.sqrt(bound + self.k * self.k))
+        return (left[0] < top and right[0] > self.k
+                and len(left) - bisect.bisect_left(left, top) >= 2
+                and TRUST * (surely + 1) + self.floor_nu <= COLLOCATION_SIZES[-1])
 
     def split(self, bound: float):
         """The eigenvalues below ``bound``, ascending, and the first at or above it."""
         import numpy as np
 
-        k = self.k
-        # the scan runs a hair past K at the bound, so that two roots lie above
-        # it however sqrt rounds; the split itself compares eigenvalues, so an
-        # eigenvalue equal to ``bound`` is never filed below it
-        top = math.sqrt(bound + k * k) * (1 + 1e-12)
+        k, top = self.k, _top(self.n, bound)
         while True:
             lam = [(K - k) * (K + k) for K in self.scan.extend(top, CEILING)]
             if lam[0] <= 0:
@@ -514,11 +608,27 @@ def _cap_split(orders: list, n: int, theta0: float, bound: float):
     """Every cap eigenvalue below ``bound`` (ascending), the smallest at or
     above it, and the highest order solved: orders are added until one has
     none below ``bound``, since an order's bottom rises with m.  ``orders``
-    holds each order's :class:`_CapOrder` and grows as needed."""
-    below, above = [], math.inf
+    holds each order's :class:`_CapOrder` and grows as needed.
+
+    Orders are scanned upwards while the last one may hold an eigenvalue
+    below ``bound`` and is not bound to fail (:meth:`_CapOrder.reach`); the
+    wanted brackets of all of them are polished in one Illinois run, and
+    they are split one at a time from the lowest, so that orders are found
+    and errors raised as if each order were solved alone.
+    """
+    top = _top(n, bound)
+    below, above, scanned = [], math.inf, 0
     for m in itertools.count():
-        if m == len(orders):
-            orders.append(_CapOrder(n, theta0, m))
+        if m == scanned:
+            batch = []
+            while True:
+                if scanned == len(orders):
+                    orders.append(_CapOrder(n, theta0, scanned))
+                batch.append(orders[scanned])
+                scanned += 1
+                if not batch[-1].reach(bound):
+                    break
+            _polish([order.scan for order in batch], top)
         values, first_above = orders[m].split(bound)
         below += values
         above = min(above, first_above)

@@ -263,6 +263,18 @@ def test_residual_scale_past_double_range_raises():
             _solve_smallest(float(p.A), float(p.B), float(p.C), 100.0, 4000)
 
 
+def test_tiny_eigenvector_weights_keep_the_norm_in_range():
+    # the attained mode of scan --n 3 at alpha = 1e100, where Bl = B + lambda
+    # cancels to 0: weights near 1 / Cl would underflow the eigenvector's
+    # norm, so the DST-I coefficients are scaled by a power of two first and
+    # the residual's overflow, not a NaN, is what is reported
+    import warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match="leaves the double range"):
+            _solve_smallest(1e100, 0.0, 5e199, 100.0, 4000)
+
+
 @pytest.mark.parametrize("A,Bl,Cl,L,N", [
     # small minima: the backward-error gate passes after one inverse
     # iteration step while the value is still 16 % and 33 % too high

@@ -31,6 +31,8 @@ from rellich_cone.spectra import (
     _CapOrder,
     _collocation,
     _ferrers,
+    _illinois,
+    _ladder,
     _Roots,
 )
 
@@ -328,15 +330,20 @@ class TestCap:
         # order evaluates its ladder twice at a point of its scan grid
         # start + SCAN_STEP * j, whose first point is the order's first
         # evaluation, or solves a collocation size twice (no index check
-        # fails here, so no order restarts)
+        # fails here, so no order restarts).  The ladder takes one order per
+        # element, so each element is recorded under its own order, and the
+        # polishing calls do carry several orders at once
         from rellich_cone import spectra
         ladder, build = spectra._ladder, spectra._collocation
-        starts, points, builds = {}, Counter(), Counter()
+        starts, points, builds, mixed = {}, Counter(), Counter(), []
 
         def recording_ladder(n, theta0, m, K):
-            start = starts.setdefault(m, float(K[0]))
-            grid = K[start + SCAN_STEP * np.round((K - start) / SCAN_STEP) == K]
-            points.update((m, k) for k in grid.tolist())
+            orders = np.broadcast_to(m, K.shape).tolist()
+            mixed.append(len(set(orders)) > 1)
+            for order, k in zip(orders, K.tolist()):
+                start = starts.setdefault(order, k)
+                if start + SCAN_STEP * round((k - start) / SCAN_STEP) == k:
+                    points[order, k] += 1
             return ladder(n, theta0, m, K)
 
         def recording_build(n, theta0, m, N):
@@ -351,6 +358,47 @@ class TestCap:
         assert spec.lowest(4) == listed[:4] and spec.lambda_min == listed[0]
         assert len({m for m, _ in builds}) > 3 and max(builds.values()) == 1
         assert len(points) > 100 and max(points.values()) == 1
+        assert any(mixed)
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_ladder_per_element_orders_bitwise(self, parity):
+        # one order per element gives every element the bits that a call
+        # with that order alone gives it, and a scalar order broadcasts
+        rng = np.random.default_rng(34 + parity)
+        for _ in range(40):
+            n = int(rng.choice(np.arange(3, 13)[np.arange(3, 13) % 2 == parity]))
+            theta0 = float(rng.uniform(0.05, 3.13))
+            m = rng.integers(0, 21, size=int(rng.integers(1, 40)))
+            K = m + (n - 2) / 2 + rng.uniform(0.0, 30.0, size=m.size)
+            together = _ladder(n, theta0, m, K)
+            for order in set(m.tolist()):
+                at = m == order
+                assert np.array_equal(together[at], _ladder(n, theta0, order, K[at]))
+            assert np.array_equal(_ladder(n, theta0, m[:1], K[:1]),
+                                  _ladder(n, theta0, int(m[0]), K[:1]))
+
+    def test_batched_pass_counts(self, monkeypatch):
+        # one Illinois run polishes every order a split touches, and only
+        # through each order's second bracket at or above the bound: 57
+        # ladder calls and 20 polished roots, where one order at a time
+        # polishing every bracket found took 91 and 80
+        from rellich_cone import spectra
+        from rellich_cone.cli import main
+        ladder, illinois = spectra._ladder, spectra._illinois
+        calls, polished = [], []
+
+        def recording_ladder(*args):
+            calls.append(1)
+            return ladder(*args)
+
+        def recording_illinois(f, m, a, *rest):
+            polished.append(a.size)
+            return illinois(f, m, a, *rest)
+
+        monkeypatch.setattr(spectra, "_ladder", recording_ladder)
+        monkeypatch.setattr(spectra, "_illinois", recording_illinois)
+        assert main(["spectrum", "--n", "5", "--domain", "cap:3.0401", "--count", "8"]) == 0
+        assert sum(polished) == 20 and len(calls) <= 60
 
     @pytest.mark.parametrize("n,theta0", [
         (3, 0.4), (3, 2.2), (4, 1.3), (5, 0.7), (5, 2.6), (6, 1.9), (7, 1.0), (8, 2.4),
@@ -375,10 +423,28 @@ class TestCap:
         assert all(abs(r - v) <= err for r, (v, err) in zip(roots, coarse))
 
     def test_exact_zero_at_a_scan_point_is_one_root(self):
-        # hemisphere roots such as K = 3/2 at n = 3 land on scan points
-        f = lambda K: (K - 1.5) * (K - 2.25) * (K - 3.0) * (K - 3.5)
-        roots = np.array(_Roots(f, 1.0, 0.25).extend(2.0, 64))
-        assert roots.tolist() == [1.5, 2.25, 3.0, 3.5]
+        # hemisphere roots such as K = 3/2 at n = 3 land on scan points: each
+        # zero is found once, whichever extension polishes it, and an
+        # extension polishes only through its second bracket at or above top
+        f = lambda m, K: (K - 1.5) * (K - 2.25) * (K - 3.0) * (K - 3.5)
+        scan = _Roots(f, 0, 1.0, 0.25, 0.5)
+        assert scan.extend(1.0, 64) == [1.5, 2.25]
+        assert scan.extend(2.5, 64) == [1.5, 2.25, 3.0, 3.5]
+        # every zero is its own bracket, and none is bracketed twice
+        assert scan.brackets[0] == scan.brackets[1] == [1.5, 2.25, 3.0, 3.5]
+
+    @pytest.mark.parametrize("f,message", [
+        # the root lies where f is NaN, above 1.6
+        (lambda m, K: np.where(K > 1.6, np.nan, K - 1.8),
+         r"NaN at 1\.6153846153846154 inside the bracket \[1\.5, 2\.0\]"),
+        # f(b) too small to move the secant off b: the bracket never closes
+        (lambda m, K: np.where(K < 1.7, -1e-300, 1.0),
+         r"the bracket \[1\.5, 2\.0\] is still open after 100 steps"),
+    ])
+    def test_illinois_refuses_nan_and_open_brackets(self, f, message):
+        with pytest.raises(ConvergenceError, match=message):
+            _illinois(f, np.zeros(1), np.array([1.5]), np.array([2.0]),
+                      f(0, np.array([1.5])), np.array([1.0]))
 
     def test_unresolvable_lambda_min_reported(self):
         # at n = 200 the hole's lambda_min is far below eps * (n-2)^2/4

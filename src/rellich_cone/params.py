@@ -28,6 +28,7 @@ in the spectrum) is always done in exact arithmetic for the full sphere.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -203,17 +204,20 @@ def critical_constant(n) -> int:
 
 
 def breaking_threshold_bound(n) -> float:
-    """Upper bound for the symmetry-breaking threshold exponent, n >= 3.
+    """The exponent t(n) where the sphere's radial mode meets its first
+    nonradial one, f(0) = f(n - 1), for n >= 3.
 
-    On the full sphere there is a threshold exponent in [4-n, 2) above
-    which the best constant is the radial one.  The threshold is bounded
-    above by the smaller root of 3 a^2 - 2(n+4) a + (-n^2 + 4n + 4) = 0,
+    f(0) - f(n - 1) has the sign of 3 a^2 - 2(n+4) a - n^2 + 4n + 4, whose
+    smaller root is
 
-        (n + 4 - 2 sqrt(n^2 - n + 1)) / 3,
+        t(n) = (n + 4 - 2 sqrt(n^2 - n + 1)) / 3,
 
-    which is negative for every n >= 5.  Below the bound (but above 4-n)
-    the true best constant is an open question; the classifier reports
-    those points as uncertified.
+    negative for every n >= 5; its larger root lies above (8 - n)/3.  It
+    bounds the symmetry-breaking threshold exponent from above: between
+    4 - n and t(n) the true best constant is an open question, and the
+    classifier reports those points as uncertified.  n^2 - n + 1 is never a
+    square, so t(n) is irrational; ``classify`` decides f(0) <= f(n - 1) in
+    exact arithmetic, not against this rounded value.
     """
     n = _validate_n(n)
     if n < 3:
@@ -241,16 +245,20 @@ class EqualityCertificate(Enum):
 
     * ``GAP_CONDITION``: gamma - 2h <= lambda_min(Sigma); equality with the
       mode minimum holds on any cone domain.
-    * ``DIMENSION_TWO``: n = 2; equality with the mode minimum holds for
-      every alpha != 2 on the full sphere.
+    * ``DIMENSION_TWO``: n = 2 on the full sphere.  ``classify`` never
+      returns it: there gamma - 2h = -3(alpha - 2)^2/4 <= 0 = lambda_min, so
+      the gap condition holds for every alpha.  The member stays as a
+      public name.
     * ``OUTSIDE_BREAKING_STRIP``: full sphere, n >= 3, alpha outside the
-      strip [4-n, threshold); equality with the mode minimum.  ``classify``
-      never returns it, since the checks before it cover that range: below
-      4-n, gamma - 2h = (n-4+alpha)(8-n-3 alpha)/4 < 0 = lambda_min is the
-      gap condition, and from the threshold bound up the gap condition or
-      ``RADIAL_RANGE`` applies.  The member stays as a public name.
-    * ``RADIAL_RANGE``: full sphere, n >= 3, alpha between the threshold
-      bound and n; the constant equals the radial constant.
+      strip [4-n, t(n)), t(n) = ``breaking_threshold_bound(n)``.
+      ``classify`` never returns it: on the sphere
+      gamma - 2h = (n-4+alpha)(8-n-3 alpha)/4 is positive only for
+      4 - n < alpha < (8-n)/3, so outside that range the gap condition
+      holds, and inside it the range from t(n) up is ``RADIAL_RANGE``.  The
+      member stays as a public name.
+    * ``RADIAL_RANGE``: full sphere, the gap condition fails and
+      f(0) <= f(n - 1), that is alpha in [t(n), (8-n)/3) above 4 - n; the
+      constant equals the radial constant.
     * ``CRITICAL_CLOSED_FORM``: alpha = 4 - n on the full sphere; the
       constant is min{(n-2)^2, n-1}.
     * ``UNCERTIFIED``: no covering argument; the mode minimum is only an
@@ -320,7 +328,8 @@ def _neg_gamma_in_spectrum(p: Params, spectrum: Spectrum) -> bool:
 def classify(p: Params, spectrum: Spectrum) -> ConstantReport:
     """Classify (n, alpha, Sigma): constants, positivity, certification.
 
-    The certificate hierarchy, in order of application:
+    The certificate hierarchy, in order of application, each step decided
+    in exact arithmetic:
 
     1. alpha = 4 - n: critical routing.  On the full sphere the constant is
        min{(n-2)^2, n-1} (certified closed form).  On a proper subdomain
@@ -328,61 +337,41 @@ def classify(p: Params, spectrum: Spectrum) -> ConstantReport:
        positivity following from lambda_min > 0.
     2. gap condition gamma - 2h <= lambda_min: the constant equals the mode
        minimum on any domain.
-    3. full sphere, n = 2: equality for every alpha != 2.
-    4. full sphere, n >= 3, alpha in [threshold bound, 2): the constant is
-       the radial one (and the mode minimum agrees).
-    5. otherwise uncertified: M is reported as an upper bound only.
+    3. full sphere and f(0) <= f(n - 1): the constant is the radial one
+       (and the mode minimum agrees).
+    4. otherwise uncertified: M is reported as an upper bound only.
     """
     exact = _exact_params(p)
     n = exact.n
-    d_rad = float(radial_constant(exact))
     sphere = spectrum.is_full_sphere
+    report = functools.partial(ConstantReport, n=n, alpha=float(exact.alpha),
+                               delta_rad=float(radial_constant(exact)))
 
     if exact.h == 0:
-        # critical exponent alpha = 4 - n
+        # critical exponent alpha = 4 - n.  On a proper subdomain the
+        # bottom-mode bound gives the constant lambda_min itself; a user
+        # spectrum that reaches 0 leaves the critical positivity genuinely
+        # open, and open is what we report.
         if sphere:
             crit = critical_constant(n)
-            return ConstantReport(
-                n=n,
-                alpha=float(exact.alpha),
-                delta_rad=d_rad,
-                M=None,
-                critical=float(crit),
-                positive=crit > 0,
-                certified_by=EqualityCertificate.CRITICAL_CLOSED_FORM,
-                regime=Regime.CRITICAL,
-                attained_lambda=None,
-            )
-        # Proper subdomain: the closed form is sphere-only.  Positivity holds
-        # whenever lambda_min > 0 (the bottom-mode bound gives the constant
-        # lambda_min itself); a user spectrum that reaches 0 leaves the
-        # critical positivity genuinely open, and open is what we report.
-        lam_min = spectrum.lambda_min
-        return ConstantReport(
-            n=n,
-            alpha=float(exact.alpha),
-            delta_rad=d_rad,
-            M=None,
-            critical=None,
-            positive=True if lam_min > 0 else None,
-            certified_by=EqualityCertificate.UNCERTIFIED,
-            regime=Regime.CRITICAL,
-            attained_lambda=None,
-        )
+            critical, positive = float(crit), crit > 0
+            certificate = EqualityCertificate.CRITICAL_CLOSED_FORM
+        else:
+            critical, positive = None, True if spectrum.lambda_min > 0 else None
+            certificate = EqualityCertificate.UNCERTIFIED
+        return report(M=None, critical=critical, positive=positive,
+                      certified_by=certificate, regime=Regime.CRITICAL)
 
     positive = not _neg_gamma_in_spectrum(exact, spectrum)
     m_val, m_lam = _best_mode(exact, spectrum)
     if not positive:
         m_val = 0 * m_val  # keep numeric type; constant is exactly 0
 
-    lam_min = spectrum.lambda_min
-    gap = exact.gamma - 2 * exact.h <= lam_min
-    if gap:
+    if exact.gamma - 2 * exact.h <= spectrum.lambda_min:
         certificate = EqualityCertificate.GAP_CONDITION
-    elif sphere and n == 2:
-        certificate = EqualityCertificate.DIMENSION_TWO
-    elif (sphere and n >= 3 and 4 - n < exact.alpha
-          and float(exact.alpha) >= breaking_threshold_bound(n)):
+    elif sphere and mode_value(exact, 0) <= mode_value(exact, n - 1):
+        # on the sphere the gap fails only for 4 - n < alpha < (8 - n)/3,
+        # where this is alpha >= breaking_threshold_bound(n), exactly
         certificate = EqualityCertificate.RADIAL_RANGE
     else:
         certificate = EqualityCertificate.UNCERTIFIED
@@ -394,10 +383,7 @@ def classify(p: Params, spectrum: Spectrum) -> ConstantReport:
     else:
         regime = Regime.MODE_K
 
-    return ConstantReport(
-        n=n,
-        alpha=float(exact.alpha),
-        delta_rad=d_rad,
+    return report(
         M=float(m_val),
         critical=None,
         positive=positive,

@@ -228,7 +228,11 @@ GAUSS_NODES = 20  # Gauss-Legendre nodes per panel of the Mehler-Dirichlet integ
 # 0.43, 2.2, 10, 31 and 240 ms by size.
 COLLOCATION_SIZES = (21, 41, 81, 161, 321, 641, 1281)
 TRUST = 5
-CEILING = 64  # roots an order scans for one bound: what size 321 confirms at nu < 1
+# Roots an order scans for one bound, what size 321 confirms at nu < 1.  The
+# scan stops at the first SCAN_BLOCK end holding more than CEILING and a bound
+# needs two past it, so an order answers for at least CEILING - 2 below it, and
+# for up to one block more (16 in K, about 16 theta0 / pi roots).
+CEILING = 64
 
 
 @functools.cache

@@ -40,6 +40,7 @@ from rellich_cone.modes import (
     _poles,
     _solve_smallest,
 )
+from rellich_cone.params import mode_threshold
 from rellich_cone.report import _numeric_probe, compute_scan_rows
 from rellich_cone import modes
 
@@ -241,6 +242,21 @@ def test_dst1_matches_direct_sine_sum(N, parity):
     direct = np.sin(np.outer(k, j) % (2 * (N + 1)) * (np.pi / (N + 1))) @ y
     np.testing.assert_allclose(_dst1(y, N, parity), direct, rtol=0,
                                atol=1e-14 * np.abs(y).sum())
+
+
+@pytest.mark.parametrize("A", [20.1, -20.1])  # |A| = 2 / dx at L = 10, N = 200
+@pytest.mark.parametrize("Bl,Cl", [(0.0, 0.0), (1.0, 0.5), (-3.0, 2.0), (5.0, 10.0)])
+def test_vanishing_rank_one_term(A, Bl, Cl):
+    # c_minus (A > 0) or c_plus (A < 0) is exactly 0, so P2 = c_plus c_minus
+    # is: the bottom root is the lowest pole itself (zero offset) and the
+    # eigenvector is the tied-pole one.  The scan's grid (L = 100, N = 4000)
+    # meets this at A = 40.010000000000005
+    L, N = 10.0, 200
+    assert _assemble(A, Bl, Cl, L, N)[0][2, 0] == 0.0
+    mu, _, _, residual = _solve_smallest(A, Bl, Cl, L, N)
+    assert mu == pytest.approx(_dense_minimum(A, Bl, Cl, L, N), rel=1e-12)
+    assert residual <= modes.RESIDUAL_TOL
+    assert _pole_floor(A, Bl, Cl, L, N) == mu
 
 
 def test_nan_residual_raises(monkeypatch):
@@ -651,6 +667,25 @@ class TestPhi:
         for t in (0.0, 1.3, 8.0):
             lhs = p.A**2 + 2 * (p.B + t) - (p.B + t) ** 2 / (p.C + t)
             assert lhs == pytest.approx(phi(p, t) / (p.h + t), rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 40),
+           alpha=st.fractions(min_value=-60, max_value=60, max_denominator=1000))
+    def test_drift_slope_at_sphere_candidates(self, n, alpha):
+        # at the eigenvalues the mode minimum is taken from (lambda_min and
+        # the two neighbours of the threshold), phi > 0, and it is the slope
+        # at t = 0 of ((t + Bl)^2 + A^2 t)/(t + Cl) times Cl^2, exactly
+        p = derive(n, alpha)
+        assume(p.h > 0)
+        spec = full_sphere_spectrum(n)
+        for lam in (spec.lambda_min, *spec.neighbours(mode_threshold(p))):
+            if lam is None:
+                continue
+            Bl, Cl = p.B + lam, p.C + lam
+            # the quotient rule on numerator (Bl^2, 2 Bl + A^2) and denominator (Cl, 1)
+            slope = ((2 * Bl + p.A**2) * Cl - Bl**2) / Cl**2
+            assert phi(p, lam) > 0
+            assert slope == phi(p, lam) / Cl**2
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 12),

@@ -1,5 +1,6 @@
 """Closed-form constants, exact arithmetic, and classification."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -242,9 +243,50 @@ class TestClassify:
 
     @pytest.mark.parametrize("alpha", [-3.0, -0.5, 0.0, 0.5, 1.0, 3.0, 5.5])
     def test_n2_always_certified(self, alpha, sphere2):
-        # every alpha != 2 in dimension two is certified
+        # every alpha != 2 in dimension two is certified, by the gap
+        # condition: gamma - 2h = -3(alpha - 2)^2/4 <= 0 = lambda_min
         rep = classify(derive(2, alpha), sphere2)
-        assert rep.certified_by is not EqualityCertificate.UNCERTIFIED
+        assert rep.certified_by is EqualityCertificate.GAP_CONDITION
+
+    def test_boundary_doubles_follow_the_exact_threshold(self):
+        # n^2 - n + 1 is never a square, so t(n) is irrational and no double
+        # ties it: the three doubles nearest it are radial-range exactly when
+        # they lie at or above it, which is also where f(0) <= f(n - 1)
+        # puts the minimum at lambda = 0
+        import mpmath as mp
+
+        with mp.workdps(50):
+            for n in range(4, 200):
+                t = (n + 4 - 2 * mp.sqrt(n * n - n + 1)) / 3
+                spec, nearest = full_sphere_spectrum(n), float(t)
+                for alpha in (math.nextafter(nearest, -math.inf), nearest,
+                              math.nextafter(nearest, math.inf)):
+                    rep = classify(derive(n, alpha), spec)
+                    radial = rep.certified_by is EqualityCertificate.RADIAL_RANGE
+                    assert radial is (mp.mpf(alpha) >= t) is (rep.regime is Regime.RADIAL), \
+                        (n, alpha)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 40),
+           u=st.fractions(min_value=-1, max_value=2, max_denominator=1000))
+    def test_sphere_certificate_rule(self, n, u):
+        # gap first, then radial range iff alpha >= t(n), by the equivalent
+        # exact test n + 4 - 3 alpha <= 0 or (n + 4 - 3 alpha)^2 <= 4(n^2 - n + 1);
+        # u in (0, 1) spans (4 - n, (8 - n)/3), where the gap condition fails
+        alpha = 4 - n + u * Fraction(2 * n - 4, 3)
+        p = derive(n, alpha)
+        rep = classify(p, full_sphere_spectrum(n))
+        if p.h == 0:
+            assert rep.certified_by is EqualityCertificate.CRITICAL_CLOSED_FORM
+            return
+        d = n + 4 - 3 * alpha
+        if p.gamma - 2 * p.h <= 0:
+            expected = EqualityCertificate.GAP_CONDITION
+        elif d <= 0 or d * d <= 4 * (n * n - n + 1):
+            expected = EqualityCertificate.RADIAL_RANGE
+        else:
+            expected = EqualityCertificate.UNCERTIFIED
+        assert rep.certified_by is expected
 
     def test_radial_regime_floats_are_exactly_equal(self):
         # the report computes both M and delta_rad by rounding the same
@@ -258,14 +300,17 @@ class TestClassify:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_radial_range_above_threshold(self, n):
-        # between the threshold bound and n the minimum sits at lambda = 0
+        # between the threshold bound and n the minimum sits at lambda = 0;
+        # the gap condition fails on (4 - n, (8 - n)/3) only
         spec = full_sphere_spectrum(n)
         bound = breaking_threshold_bound(n)
         for alpha in np.linspace(bound + 1e-6, n - 1e-6, 13):
             if abs(alpha - (4 - n)) < 1e-9:
                 continue
             rep = classify(derive(n, float(alpha)), spec)
-            assert rep.certified, f"alpha={alpha} not certified"
+            assert rep.certified_by is (EqualityCertificate.RADIAL_RANGE
+                                        if 4 - n < alpha < (8 - n) / 3
+                                        else EqualityCertificate.GAP_CONDITION), alpha
             assert rep.M == rep.delta_rad
             assert rep.regime is Regime.RADIAL
 

@@ -324,6 +324,66 @@ class TestCap:
         assert (spec.lowest(24), spec.neighbours(400.0)) == expected
         assert set(steps) == {SCAN_STEP} and max(builds.values()) >= 3
 
+    @staticmethod
+    def _recording_restarts(monkeypatch):
+        from rellich_cone import spectra
+        restart, steps = spectra._CapOrder._restart, []
+
+        def recording(order, step):
+            steps.append(step)
+            return restart(order, step)
+
+        monkeypatch.setattr(spectra._CapOrder, "_restart", recording)
+        return steps
+
+    def test_refinements_exhausted_raise(self, monkeypatch):
+        # counts that disagree at every size, the largest included: the
+        # order halves its scan step REFINEMENTS times, then reports the
+        # disagreement
+        from rellich_cone import spectra
+        steps = self._recording_restarts(monkeypatch)
+        monkeypatch.setattr(spectra, "_collocation", lambda n, theta0, m, N: (np.empty(0), 0.0))
+        order = _CapOrder(4, 1.0, 0)
+        with pytest.raises(ConvergenceError, match="disagree with the collocation counts"):
+            order.split(60.0)
+        assert steps == [SCAN_STEP, 0.125, 0.0625, 0.03125]
+        assert order.refinements == spectra.REFINEMENTS == 3
+
+    def test_refinement_finds_a_missed_root_pair(self, monkeypatch):
+        # a root pair inside one scan step, at K = 5.6 and 5.65 between the
+        # lattice points 5.5 and 5.75, is missed at SCAN_STEP and found at
+        # half of it: the counts disagree only until the first restart, and
+        # the order's own roots come out as without the pair
+        from rellich_cone import spectra
+        expected = _CapOrder(4, 1.0, 0).split(60.0)
+        pair = np.array([5.6, 5.65])
+        ladder, build = spectra._ladder, spectra._collocation
+        monkeypatch.setattr(spectra, "_ladder", lambda n, theta0, m, K: (
+            ladder(n, theta0, m, K) * (K - pair[0]) * (K - pair[1])))
+        monkeypatch.setattr(spectra, "_collocation", lambda n, theta0, m, N: (
+            np.sort(np.concatenate((build(n, theta0, m, N)[0], pair**2 - 1))), 0.0))
+        steps = self._recording_restarts(monkeypatch)
+        order = _CapOrder(4, 1.0, 0)
+        assert order.scan.start == 1.0
+        below, above = order.split(60.0)
+        assert steps == [SCAN_STEP, 0.125] and order.refinements == 1
+        assert below[1:3] == pytest.approx(pair**2 - 1, rel=1e-13)
+        assert below[:1] + below[3:] == pytest.approx(expected[0], rel=1e-13)
+        assert above == pytest.approx(expected[1], rel=1e-13)
+
+    @pytest.mark.parametrize("bound,count", [
+        (64**2, 61), (70**2, 66), (75**2, 71), (79**2 - 1, 75), (80**2, None)])
+    def test_ceiling_at_block_ends(self, bound, count):
+        # the scan stops at the first SCAN_BLOCK end holding more than
+        # CEILING brackets; roots lie pi / theta0 apart in K, so at
+        # theta0 = 3 one block of 16 in K adds about 15 of them past 64
+        order = _CapOrder(4, 3.0, 0)
+        if count is None:
+            with pytest.raises(ConvergenceError, match="more than 64 below"):
+                order.split(bound)
+        else:
+            assert len(order.split(bound)[0]) == count
+
     @pytest.mark.parametrize("n,theta0", [(4, 1.0), (5, 2.2)])
     def test_queries_extend_one_scan_per_order(self, monkeypatch, n, theta0):
         # lambda_min, lowest and neighbours extend one state per order: no

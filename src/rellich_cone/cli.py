@@ -13,7 +13,9 @@ Domains are given as ``sphere``, ``cap:THETA0``, ``arc:LENGTH``, or
 ``file:PATH`` (explicit eigenvalues, one per line).  Exit codes: 0 success,
 1 verification failure, 2 invalid arguments, 3 degenerate-case routing
 failure, 4 numerical-resolution failure (a discretization that did not
-converge or an eigensolver breakdown).
+converge or an eigensolver breakdown).  A reader that closes the pipe early
+(``scan ... | head -1``) ends the run quietly with exit 0: the output it read
+is complete, and a closed pipe is no usage error.
 
 ``verify`` imports its modules when it runs, so the other subcommands load
 numpy only for cap domains and ``scan --with-numeric``; no subcommand loads
@@ -27,6 +29,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .config import ENV_CONFIG, VERIFY_SUITES, resolve_config
@@ -202,7 +205,19 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a reader that has gone shows up here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (``scan ... | head``): stop quietly, and point
+        # stdout at the null device so that the interpreter's last flush of what
+        # is still buffered prints nothing
+        try:
+            with open(os.devnull, "wb") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+        except (OSError, ValueError):  # an in-process stdout without a descriptor
+            pass
+        return EXIT_OK
     except DegenerateModeError as exc:
         print(f"error: degenerate case routing failure: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

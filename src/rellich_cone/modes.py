@@ -161,6 +161,16 @@ def _matvec(band, x):
     return y
 
 
+def _norm(band):
+    """Largest absolute row sum of a Toeplitz band from :func:`_assemble`, that of
+    its leading 5 x 5 block; from N = 5 on, the middle row's, read off the first
+    column and summed in :func:`_matvec`'s order, so that it is the same float."""
+    if band.shape[1] < 5:
+        return float(_matvec(abs(band), np.ones(band.shape[1])).max())
+    d, e1, e2 = map(abs, band[:, 0].tolist())
+    return d + e1 + e1 + e2 + e2
+
+
 @functools.lru_cache(maxsize=2)
 def _grid(L, N):
     """Read-only arrays all solves on one grid share: q_j / dx^2, sin^2 theta_j,
@@ -212,14 +222,15 @@ def _secular_root(lam, w, P2):
     lo, hi = 0.0, lam2 - lam1 if P2 > 0 else abs(P2) * float(w.sum())
     x = 0.0 if P2 > 0 else hi
     for _ in range(ITERATION_CAP):
-        r = rest / (delta - sign * x)
+        gaps = delta - sign * x
+        r = rest / gaps
         s = 1.0 / abs(P2) + sign * float(r.sum())
         value = x * s - w1
         if value < 0:
             lo = x
         else:
             hi = x
-        new = x - value / (s + x * float((r / (delta - sign * x)).sum()))
+        new = x - value / (s + x * float((r / gaps).sum()))
         if not lo <= new <= hi:
             new = 0.5 * (lo + hi)
         if abs(new - x) <= 4 * EPS * max(abs(lam1 + sign * new), new):  # a few ulps
@@ -294,8 +305,7 @@ def _pole_floor(A, Bl, Cl, L, N):
 def _solve_smallest(A, Bl, Cl, L, N):
     """Smallest generalized eigenpair of (T^t T) v = mu D v, its residual."""
     P, D, dx, lam, w, where = _secular_problem(A, Bl, Cl, L, N)
-    # largest absolute row sums, those of the leading 5 x 5 Toeplitz blocks
-    norm_P, norm_D = (float(_matvec(abs(b[:, :5]), np.ones(min(N, 5))).max()) for b in (P, D))
+    norm_P, norm_D = _norm(P), _norm(D)
     P2 = float(P[2, 0])
     try:
         (mu, above, k, offset, parity), (other, *_) = sorted(

@@ -554,6 +554,8 @@ class _CapOrder:
         root below ``bound`` with lambda > 0, stopped short of its CEILING,
         and passes the index check's size limit with the roots that are
         surely below ``bound`` (brackets that end below it)."""
+        if TRUST + self.floor_nu > COLLOCATION_SIZES[-1]:  # split refuses it from nu alone
+            return False
         top = _top(self.n, bound)
         self.scan.scan(top, CEILING)
         left, right = self.scan.brackets[:2]
@@ -567,6 +569,13 @@ class _CapOrder:
         import numpy as np
 
         k, top = self.k, _top(self.n, bound)
+        if TRUST + self.floor_nu > COLLOCATION_SIZES[-1]:  # no size confirms root 0
+            raise ConvergenceError(
+                f"cap eigenvalues did not converge: order {self.m} has nu = "
+                f"{self.m + (self.n - 3) / 2:.15g}, and the index check of its lowest root needs "
+                f"a collocation size of {TRUST} + floor(nu) = {TRUST + self.floor_nu}, above "
+                f"the largest, {COLLOCATION_SIZES[-1]}; for order 0 this holds from "
+                f"n = {2 * (COLLOCATION_SIZES[-1] - TRUST) + 5} on")
         while True:
             lam = [(K - k) * (K + k) for K in self.scan.extend(top, CEILING)]
             if lam[0] <= 0:

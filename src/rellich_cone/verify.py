@@ -49,7 +49,7 @@ from .params import (
 )
 from .report import compute_scan_rows, scan_alphas
 from .spectra import _collocation, arc_spectrum, cap_spectrum, full_sphere_spectrum
-from .xspace import XTestFunction, radial_identity_check, symmetry_breaking_witness
+from .xspace import _node_pair, _radial_identity, symmetry_breaking_witness
 
 __all__ = ["CheckResult", "SUITE_NAMES", "run_suite", "suite_checks"]
 
@@ -265,8 +265,7 @@ def lemma_suite(window_count=200, drift_count=200, phi_count=100) -> list[CheckR
         p = derive(n, alpha)
         if p.h == 0:
             continue
-        values = np.array([phi(p, float(t)) for t in ts])
-        low = float(values.min())
+        low = float(phi(p, ts).min())  # the fields of p are floats
         if low < worst:
             worst, bad = low, (n, alpha)
     out.append(_check(
@@ -302,15 +301,15 @@ RADIAL_ALPHAS = (-1.0, 0.0, 1.0, 2.5)
 
 def radial_suite() -> list[CheckResult]:
     out = []
-    profiles = [(e.name, e.function.profile) for e in load_corpus() if e.mode == 0]
+    profiles = [e.function.profile for e in load_corpus() if e.mode == 0]
     worst_defect = 0.0
     worst_cross = 0.0
     count = 0
-    for name, prof in profiles:
+    for prof in profiles:
+        pair = _node_pair(prof)  # R, R', R'' evaluated once for every (n, alpha)
         for n in RADIAL_DIMENSIONS:
             for alpha in RADIAL_ALPHAS:
-                u = XTestFunction(profile=prof, eigenvalue=0.0, n=n, label=name)
-                res = radial_identity_check(u, alpha)
+                res = _radial_identity(n, alpha, pair)
                 worst_defect = max(worst_defect, res.defect)
                 worst_cross = max(worst_cross, res.cross_term)
                 count += 1

@@ -13,10 +13,12 @@ ratio) and
     |grad u|^2 -> R'^2 + lambda R^2 / r^2.
 
 All integrals are evaluated by composite Gauss-Legendre quadrature in log
-radius; no n-dimensional cubature appears anywhere.  One pass per panel
-count builds the nodes, evaluates R, R' and R'' there once and forms every
-integrand of the call from those arrays; the coarse and fine panel counts
-then gate each integral on its own.  The module also
+radius; no n-dimensional cubature appears anywhere.  A node set, one per
+panel count, holds the nodes and weights and R, R' and R'' evaluated there;
+every integrand of a call is formed from those arrays, and the coarse and
+fine node sets then gate each integral on its own.  A caller that checks
+one profile in many (n, alpha), as the radial suite of ``verify`` does,
+builds its two node sets once and passes them to every check.  The module also
 verifies the radial integral identity behind the radial best constant
 
     int |x|^a |Du|^2 = ((n-a)/2)^2 int |x|^(a-2)|grad u|^2 + int |x|^(2-n)|grad v|^2
@@ -113,10 +115,10 @@ def _auto_panels(r_lo, r_hi):
     return max(24, int(math.ceil(2.0 * width)))
 
 
-def _log_gauss_pass(profile, integrands, panels):
-    """Every integral of ``integrands(r, R, R', R'')`` dr over the profile's
-    support via Gauss-Legendre in t = log r, on one node set and one
-    evaluation of the profile."""
+def _nodes(profile, panels):
+    """Gauss-Legendre nodes in t = log r over the profile's support on
+    ``panels`` panels, as (panels, weights, r, R, R', R''): the profile is
+    evaluated once, and every integral on the node set reads these arrays."""
     x, w = _gauss_rule(GL_NODES)
     r_lo, r_hi = profile.support
     a, b = math.log(r_lo), math.log(r_hi)
@@ -126,25 +128,31 @@ def _log_gauss_pass(profile, integrands, panels):
     t = (mids[:, None] + halves[:, None] * x[None, :]).ravel()
     weights = (halves[:, None] * w[None, :]).ravel()
     r = np.exp(t)
-    arrays = integrands(r, profile.value(r), profile.d1(r), profile.d2(r))
-    return [float(np.sum(weights * f * r)) for f in arrays]
+    return panels, weights, r, profile.value(r), profile.d1(r), profile.d2(r)
 
 
-def _converged_integrals(profile, integrands, panels=None, ref_scales=None):
-    """Evaluate at two panel counts and keep the fine values, or report failure.
+def _node_pair(profile, panels=None):
+    """The coarse and fine node sets, at ``panels`` and twice as many panels."""
+    if panels is None:
+        panels = _auto_panels(*profile.support)
+    return _nodes(profile, panels), _nodes(profile, 2 * panels)
+
+
+def _converged_integrals(pair, integrands, ref_scales=None):
+    """Every integral of ``integrands(r, R, R', R'')`` dr on the coarse and fine
+    node sets of ``pair``: the fine values, or a reported failure.
 
     Each integral is gated on its own, in order.  ``ref_scales(*fine)``
     supplies one external magnitude per integral, for integrals whose exact
     value is (near) zero, where a self-relative comparison is meaningless.
     """
-    if panels is None:
-        panels = _auto_panels(*profile.support)
-    coarse = _log_gauss_pass(profile, integrands, panels)
-    fine = _log_gauss_pass(profile, integrands, 2 * panels)
+    coarse, fine = ([float(np.sum(weights * f * r)) for f in integrands(r, *values)]
+                    for _, weights, r, *values in pair)
     refs = ref_scales(*fine) if ref_scales else [0.0] * len(fine)
     for c, f, ref in zip(coarse, fine, refs):
         scale = max(abs(c), abs(f), abs(ref))
         if scale > 0 and abs(f - c) > QUAD_RTOL * scale:
+            panels = pair[0][0]
             raise ConvergenceError(
                 f"quadrature did not converge: {panels} panels give {c!r}, "
                 f"{2 * panels} panels give {f!r}"
@@ -171,7 +179,7 @@ def weighted_integrals(u: XTestFunction, alpha: float, panels: int | None = None
         return (r ** (alpha + n - 1) * lap**2,
                 r ** (alpha + n - 3) * (R1**2 + lam * R**2 / r**2))
 
-    return tuple(_converged_integrals(u.profile, integrands, panels))
+    return tuple(_converged_integrals(_node_pair(u.profile, panels), integrands))
 
 
 def weighted_quotient(u: XTestFunction, alpha: float, panels: int | None = None) -> float:
@@ -210,7 +218,12 @@ def radial_identity_check(u: XTestFunction, alpha: float) -> RadialIdentityResul
     """
     if not u.radial:
         raise ValueError("radial identity applies to radial functions only")
-    n = u.n
+    return _radial_identity(u.n, alpha, _node_pair(u.profile))
+
+
+def _radial_identity(n, alpha, pair):
+    """:func:`radial_identity_check` in dimension ``n`` on the profile's node
+    sets ``pair`` from :func:`_node_pair`, which many (n, alpha) can share."""
     alpha = float(alpha)
     m = (n - 2 + alpha) / 2.0
     radial_factor = ((n - alpha) / 2) ** 2
@@ -226,7 +239,7 @@ def radial_identity_check(u: XTestFunction, alpha: float) -> RadialIdentityResul
     # the cross integrand is an exact total derivative: its value is 0 and the
     # meaningful convergence scale is the size of the identity itself
     lhs, radial, term_v, cross = _converged_integrals(
-        u.profile, integrands,
+        pair, integrands,
         ref_scales=lambda lhs, radial, *_: (0.0, 0.0, 0.0, max(lhs, radial_factor * radial)))
     term_radial = radial_factor * radial
     return RadialIdentityResult(

@@ -1,5 +1,6 @@
 """CLI: subcommands, output formats, determinism, exit codes, config."""
 
+import io
 import json
 import math
 import os
@@ -394,6 +395,39 @@ class TestScan:
         assert "double range" in done.stderr
         assert "Traceback" not in done.stderr and "Warning" not in done.stderr
 
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize("lines", [0, 1])
+    def test_reader_closing_the_pipe_exits_0_quietly(self, lines, unbuffered):
+        # `scan ... | head -1`: the reader takes a line, or none, and closes
+        # the pipe; the run stops with exit 0 and nothing on stderr (it was
+        # exit 2 with "Broken pipe").  With a buffered stdout, rows are still
+        # buffered at exit, and the interpreter's last flush must print nothing
+        env = dict(os.environ, PYTHONPATH=SRC, PYTHONUNBUFFERED=unbuffered)
+        env.pop("RELLICH_CONE_CONFIG", None)
+        proc = subprocess.Popen([sys.executable, "-m", "rellich_cone.cli", "scan", "--n", "3",
+                                 "--alpha-from=0", "--alpha-to=20000", "--step=1",
+                                 "--format", "csv"],
+                                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            for _ in range(lines):
+                assert proc.stdout.readline().startswith(b"alpha,")
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 0
+            assert proc.stderr.read() == b""
+        finally:
+            proc.kill()
+            proc.stderr.close()
+
+    def test_closed_pipe_in_process_exits_0(self, monkeypatch, capsys):
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        assert main(["scan", "--n", "3", "--alpha-from=0", "--alpha-to=3", "--step=1",
+                     "--format", "table"]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("flag, value, key", [
         ("--mode-n", "0", "scan_N"),
         ("--mode-l", "0", "scan_L"),
@@ -451,6 +485,18 @@ class TestSpectrumCommand:
                                  "--count", "0")
         assert code == 2
         assert out == "" and "count must be >= 1" in err
+
+    @pytest.mark.parametrize("n, nu, size", [(2600, "1298.5", 1303), (10**6, "499998.5", 500003)])
+    def test_order_past_the_largest_collocation_exit_4(self, n, nu, size):
+        # floor(nu) alone breaks the trust rule: the message says so, and no
+        # longer blames a root count; the refusal comes before any ladder scan,
+        # whose cost grows with nu (n = 1e5 took 11 s)
+        done = run_cli_bounded("spectrum", "--n", str(n), "--domain", "cap:1.0", "--count", "1")
+        assert done.returncode == 4 and done.stdout == ""
+        assert (f"order 0 has nu = {nu}, and the index check of its lowest root needs a "
+                f"collocation size of 5 + floor(nu) = {size}, above the largest, 1281; for order 0 "
+                "this holds from n = 2557 on") in done.stderr
+        assert "more than" not in done.stderr
 
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "--n", "3", "--domain",

@@ -36,6 +36,8 @@ from rellich_cone.modes import (
     _assemble,
     _below_spectrum,
     _dst1,
+    _matvec,
+    _norm,
     _pole_floor,
     _poles,
     _solve_smallest,
@@ -257,6 +259,24 @@ def test_vanishing_rank_one_term(A, Bl, Cl):
     assert mu == pytest.approx(_dense_minimum(A, Bl, Cl, L, N), rel=1e-12)
     assert residual <= modes.RESIDUAL_TOL
     assert _pole_floor(A, Bl, Cl, L, N) == mu
+
+
+def test_scalar_norm_equals_the_block_row_sums():
+    # _norm reads a Toeplitz band's first column; the leading 5 x 5 block's
+    # largest absolute row sum is the same float, for signed and for zero
+    # off-diagonals and for the bands of the solver itself
+    rng = np.random.default_rng(5)
+    bands = [_assemble(*args)[i] for args in ((-2.0, 1.25, 2.25, 40.0, 3200),
+                                              (300.0, -7.5, 0.3, 10.0, 5), (0.0, 0.0, 1.0, 1.0, 6))
+             for i in (0, 1)]
+    for _ in range(500):
+        N = int(rng.integers(5, 40))
+        band = np.zeros((3, N))
+        d, e1, e2 = rng.standard_normal(3) * 10.0 ** rng.uniform(-150, 150, 3)
+        band[0], band[1, :-1], band[2, :-2] = d, e1, rng.choice([e2, 0.0])
+        bands.append(band)
+    for band in bands:
+        assert _norm(band) == float(_matvec(abs(band[:, :5]), np.ones(5)).max())
 
 
 def test_nan_residual_raises(monkeypatch):
@@ -686,6 +706,14 @@ class TestPhi:
             slope = ((2 * Bl + p.A**2) * Cl - Bl**2) / Cl**2
             assert phi(p, lam) > 0
             assert slope == phi(p, lam) / Cl**2
+
+    def test_array_argument_matches_the_float_loop(self):
+        # the certificate sweep of verify lemmas evaluates a whole grid at once
+        rng = np.random.default_rng(11)
+        ts = np.linspace(0.0, 50.0, 101)
+        for _ in range(200):
+            p = derive(int(rng.integers(2, 11)), float(rng.uniform(-40.0, 40.0)))
+            assert np.array_equal(phi(p, ts), np.array([phi(p, float(t)) for t in ts]))
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 12),

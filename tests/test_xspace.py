@@ -17,6 +17,8 @@ from rellich_cone import (
     weighted_integrals,
     weighted_quotient,
 )
+from rellich_cone.verify import RADIAL_ALPHAS, RADIAL_DIMENSIONS
+from rellich_cone.xspace import _node_pair, _radial_identity
 
 
 class TestXTestFunction:
@@ -117,6 +119,20 @@ class TestOnePassPerNodeSet:
         proxy.calls = dict.fromkeys(proxy.calls, 0)
         assert weighted_integrals(counted, entry.alpha) == weighted_integrals(u, entry.alpha)
         assert max(proxy.calls.values()) <= 2
+
+
+class TestSharedNodeSets:
+    def test_suite_path_equals_the_public_check(self, corpus):
+        # the radial suite builds each profile's node sets once for its whole
+        # (n, alpha) grid; every result equals the standalone check's exactly
+        for entry in corpus:
+            if entry.mode != 0:
+                continue
+            pair = _node_pair(entry.function.profile)
+            for n in RADIAL_DIMENSIONS:
+                for alpha in RADIAL_ALPHAS:
+                    u = XTestFunction(profile=entry.function.profile, eigenvalue=0.0, n=n)
+                    assert _radial_identity(n, alpha, pair) == radial_identity_check(u, alpha)
 
 
 class TestWitnesses:

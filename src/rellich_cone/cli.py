@@ -77,6 +77,10 @@ def _parse_domain(text: str):
 
 
 def _spectrum_from_args(args):
+    # every command forms floats of the size of n^2 (h, the cap's (n - 2)^2/4)
+    if args.n * args.n > sys.float_info.max:
+        raise ValueError(f"n has {len(str(abs(args.n)))} digits: n^2 must lie within the "
+                         "double range (about 1.8e308), so n at most about 1.34e154")
     domain, spectrum = _parse_domain(args.domain)
     return spectrum_for(domain, args.n) if spectrum is None else spectrum
 

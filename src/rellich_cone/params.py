@@ -210,19 +210,21 @@ def breaking_threshold_bound(n) -> float:
     f(0) - f(n - 1) has the sign of 3 a^2 - 2(n+4) a - n^2 + 4n + 4, whose
     smaller root is
 
-        t(n) = (n + 4 - 2 sqrt(n^2 - n + 1)) / 3,
+        t(n) = (n + 4 - 2 sqrt(n^2 - n + 1)) / 3
+             = (-n^2 + 4n + 4) / (n + 4 + 2 sqrt(n^2 - n + 1)),
 
     negative for every n >= 5; its larger root lies above (8 - n)/3.  It
     bounds the symmetry-breaking threshold exponent from above: between
     4 - n and t(n) the true best constant is an open question, and the
     classifier reports those points as uncertified.  n^2 - n + 1 is never a
     square, so t(n) is irrational; ``classify`` decides f(0) <= f(n - 1) in
-    exact arithmetic, not against this rounded value.
+    exact arithmetic, not against this rounded value, which the second form
+    gives within 2 eps: no digit cancels in it.
     """
     n = _validate_n(n)
     if n < 3:
         raise ValueError(f"threshold bound requires n >= 3, got {n}")
-    return (n + 4 - 2 * math.sqrt(n * n - n + 1)) / 3
+    return (-n * n + 4 * n + 4) / (n + 4 + 2 * math.sqrt(n * n - n + 1))
 
 
 class Regime(Enum):

@@ -5,11 +5,11 @@ Supported domains Sigma inside the unit sphere S^(n-1):
 * the full sphere, with the exact spectrum {k(n-2+k) : k = 0, 1, ...};
 * geodesic caps of radius theta0 in (0, pi) for n >= 3: each azimuthal
   order's eigenvalues are the roots of a Legendre function, evaluated by an
-  elementary ladder (started for odd n from Mehler-Dirichlet integrals) and
-  polished to full precision; Chebyshev collocation, a second
-  discretization, checks every root's index, and the same collocation at
-  two sizes is the independent check of ``verify spectra``, so that caps
-  need numpy alone;
+  elementary ladder (started for odd n from Mehler-Dirichlet integrals) that
+  also carries its K-derivative, and polished by Newton steps to full
+  precision; Chebyshev collocation, a second discretization, checks every
+  root's index, and the same collocation at two sizes is the independent
+  check of ``verify spectra``, so that caps need numpy alone;
 * arcs of length L in (0, 2*pi) for n = 2, with the exact interval
   spectrum {(k*pi/L)^2 : k = 1, 2, ...};
 * explicit user-supplied eigenvalue lists.
@@ -22,7 +22,7 @@ bisects, and a cap scans each azimuthal order only up to the value,
 resuming where the last query stopped.  A cap query is one batched pass:
 the orders it touches are scanned one after the other, the roots it needs
 (each order's through its second past the value; other brackets stay
-pending) are polished in one Illinois run over all of them, the ladder
+pending) are polished in one Newton run over all of them, the ladder
 taking one order per element, and the orders are then checked one by one.
 """
 
@@ -320,32 +320,41 @@ def _mehler_nodes(theta0: float, panels: int):
     return theta0 * (1 - v * v), weight, weight * sin_phi
 
 
-def _ferrers(theta0: float, K):
-    """P = P_(K-1/2)(cos theta0) and P^(-1) of the same degree, for each K.
+def _ferrers(theta0: float, K, slope: bool = False):
+    """P = P_(K-1/2)(cos theta0) and P^(-1) of the same degree, for each K,
+    and with ``slope`` also their derivatives in K.
 
     Mehler-Dirichlet (DLMF 14.12.1): P is sqrt(2)/pi times the integral of
     cos(K phi), and P^(-1), its mu = 1 case integrated by parts, that times
     the integral of sin(K phi) sin phi over K sin theta0, both against
-    1/sqrt(cos phi - cos theta0) on (0, theta0).  Each K takes
-    its panel count from its own K theta0 and sums along its own row, so its
-    value does not depend on the other entries of ``K``.
+    1/sqrt(cos phi - cos theta0) on (0, theta0); the derivatives take the
+    same integrals with the factor phi.  Each K takes its panel count from
+    its own K theta0 and sums along its own row, so its value does not
+    depend on the other entries of ``K``.
     """
     import numpy as np
 
-    P, Pm1 = np.empty_like(K), np.empty_like(K)
+    out = [np.empty_like(K) for _ in range(4 if slope else 2)]
     # the first power of two at which K phi changes by at most 8 across a
     # panel: a batch of K spans few panel counts
     panels = 2 ** np.ceil(np.log2(1 + K * theta0 / 4))
     for count in set(panels.tolist()):
         at = panels == count
         phi, weight, weight_sin = _mehler_nodes(theta0, int(count))
-        angle = np.multiply.outer(K[at], phi)
-        P[at] = (np.cos(angle) * weight).sum(axis=1)
-        Pm1[at] = (np.sin(angle) * weight_sin).sum(axis=1) / (K[at] * math.sin(theta0))
-    return math.sqrt(2) / math.pi * P, math.sqrt(2) / math.pi * Pm1
+        angle, Ks = np.multiply.outer(K[at], phi), K[at] * math.sin(theta0)
+        wave = np.cos(angle)
+        out[0][at] = (wave * weight).sum(axis=1)
+        if slope:
+            out[3][at] = (wave * (phi * weight_sin)).sum(axis=1) / Ks
+        wave = np.sin(angle, out=angle)  # in place: no third (K, node) array is held
+        out[1][at] = (wave * weight_sin).sum(axis=1) / Ks
+        if slope:
+            out[2][at] = -(wave * (phi * weight)).sum(axis=1)
+            out[3][at] -= out[1][at] / K[at]
+    return [math.sqrt(2) / math.pi * x for x in out]
 
 
-def _ladder(n: int, theta0: float, m, K):
+def _ladder(n: int, theta0: float, m, K, slope: bool = False):
     """Order m's regular solution psi at theta0, up to a positive factor, for each K.
 
     With phi = sin^(-(n-2)/2) psi order m reads -psi'' + (nu^2 - 1/4)/sin^2 psi
@@ -359,35 +368,47 @@ def _ladder(n: int, theta0: float, m, K):
     cot/2 psi + sqrt(sin) P^1 with P^1 = -(K^2 - 1/4) P^(-1) (DLMF 14.5,
     14.9.3, 14.10).
 
-    ``m`` is one order for every K or an array of one order per K.  Each
-    element climbs only to its own order, by the same elementwise steps, so
-    its value does not depend on the other elements.
+    With ``slope`` it returns (psi, psi_K) under one scale, so psi / psi_K is
+    the exact Newton step: psi_K climbs by the same step plus 2K psi.  ``m``
+    is one order for every K or an array of one order per K.  Each element
+    climbs only to its own order, by the same elementwise steps, so its value
+    (psi's bits with or without ``slope``) does not depend on the others.
     """
     import numpy as np
 
     s, c = math.sin(theta0), math.cos(theta0)
     cot = c / s
     if n % 2 == 0:
-        psi, dpsi, a = np.sin(K * theta0), K * np.cos(K * theta0), 1.0
+        sin, cos = np.sin(K * theta0), np.cos(K * theta0)
+        psi, dpsi, a = sin, K * cos, 1.0
+        if slope:
+            psi, dpsi = np.array([psi, theta0 * cos]), np.array([dpsi, cos - K * theta0 * sin])
     else:
-        P, Pm1 = _ferrers(theta0, K)
-        psi = math.sqrt(s) * P
-        dpsi = 0.5 * cot * psi - math.sqrt(s) * (K * K - 0.25) * Pm1
-        a = 0.5
-    # sorted by falling order, the elements still climbing at step a (those
-    # with a < nu) are a prefix
+        P, Pm1, *P_K = _ferrers(theta0, K, slope)
+        r, k2 = math.sqrt(s), K * K - 0.25
+        psi, a = r * P, 0.5
+        dpsi = 0.5 * cot * psi - r * k2 * Pm1
+        if slope:
+            psi_K = r * P_K[0]
+            psi, dpsi = np.array([psi, psi_K]), np.array(
+                [dpsi, 0.5 * cot * psi_K - r * (k2 * P_K[1] + 2 * K * Pm1)])
+    # sorted by falling order (one order needs no sorting), the elements
+    # still climbing at step a (those with a < nu) are a prefix
     nu = np.broadcast_to(np.asarray(m) + (n - 3) / 2, K.shape)
-    rank = np.argsort(-nu, kind="stable")
-    nu, K2, psi, dpsi = nu[rank], (K * K)[rank], psi[rank], dpsi[rank]
+    rank = np.argsort(-nu, kind="stable") if np.ndim(m) else slice(None)
+    nu, K, psi, dpsi = nu[rank], K[rank], psi[..., rank], dpsi[..., rank]
+    K2 = K * K
     steps = np.arange(a, nu.max(initial=a), 1.0)
     for a, live in zip(steps.tolist(), np.searchsorted(-nu, -steps).tolist()):
-        p, d = psi[:live], dpsi[:live]
+        p, d = psi[..., :live], dpsi[..., :live]
         p, d = a * cot * p - d, (K2[:live] - (a / s) ** 2) * p + a * cot * d
-        scale = np.hypot(p, d)
-        psi[:live], dpsi[:live] = p / scale, d / scale
+        if slope:
+            d[1] += 2 * K[:live] * psi[0, :live]
+        scale = np.hypot(p[0], d[0]) if slope else np.hypot(p, d)
+        psi[..., :live], dpsi[..., :live] = p / scale, d / scale
     out = np.empty_like(psi)
-    out[rank] = psi
-    return out
+    out[..., rank] = psi
+    return tuple(out) if slope else out
 
 
 class _Roots:
@@ -456,7 +477,7 @@ class _Roots:
 
 
 def _polish(scans: list, top: float):
-    """Polishes, in one Illinois run, the wanted brackets of every scan (see
+    """Polishes, in one Newton run, the wanted brackets of every scan (see
     :meth:`_Roots.wanted`); the scans share ``f``."""
     import numpy as np
 
@@ -467,44 +488,47 @@ def _polish(scans: list, top: float):
     a, b, fa, fb = (np.array([x for scan, i in want for x in scan.brackets[e][i.start:i.stop]])
                     for e in range(4))
     m = np.array([scan.m for scan, i in want for _ in i])
-    roots = _illinois(want[0][0].f, m, a, b, fa, fb).tolist()
+    roots = _newton(want[0][0].f, m, a, b, fa, fb).tolist()
     for scan, i in want:
         scan.roots += roots[:len(i)]
         del roots[:len(i)]
 
 
-def _illinois(f, m, a, b, fa, fb):
+def _newton(f, m, a, b, fa, fb):
     """Roots of ``f(m, K)`` in K in the brackets [a, b] (a == b: a root at b),
-    all at once, with ``m`` one entry per bracket; a root at which ``f`` is
-    NaN, or a bracket still open after 100 steps, raises ConvergenceError."""
+    all at once, with ``m`` one entry per bracket, by Newton steps on
+    ``f(m, K, slope=True)`` = (f, f_K) from each bracket's secant point.  A
+    step that leaves the bracket (kept by the sign of f), or is not finite,
+    bisects it instead; a root is done at f = 0, at a step within 1e-10 of
+    the point (taken), or at a bracket closed to 4 eps.  A NaN f, or a
+    bracket open after 100 steps, raises ConvergenceError.  Each element
+    steps on its own, so its root does not depend on the batch."""
     import numpy as np
 
-    live = a != b
-    for _ in range(100):
-        i = np.flatnonzero(live)
+    root, i = b.copy(), np.flatnonzero(a != b)
+    x = b[i] - fb[i] * (b[i] - a[i]) / (fb[i] - fa[i])
+    for steps in itertools.count():
         if i.size == 0:
-            return b
-        c = b[i] - fb[i] * (b[i] - a[i]) / (fb[i] - fa[i])
-        # a step may land on b again: f(b) is known there
-        fc, moved = fb[i], c != b[i]
-        if moved.any():
-            fc[moved] = f(m[i][moved], c[moved])
-        if np.isnan(fc).any():
-            j = int(np.flatnonzero(np.isnan(fc))[0])
+            return root
+        if steps == 100:
             raise ConvergenceError(
-                f"root polishing failed: the function is NaN at {float(c[j])!r} inside the "
-                f"bracket {sorted((float(a[i[j]]), float(b[i[j]])))}")
-        flip = fc * fb[i] < 0
-        a[i] = np.where(flip, b[i], a[i])
-        fa[i] = np.where(flip, fb[i], 0.5 * fa[i])
-        b[i], fb[i] = c, fc
-        live[i] = (fc != 0) & (np.abs(b[i] - a[i]) > 4 * np.finfo(float).eps * b[i])
-    if not live.any():
-        return b
-    j = int(np.flatnonzero(live)[0])
-    raise ConvergenceError(
-        f"root polishing did not converge: the bracket {sorted((float(a[j]), float(b[j])))} "
-        f"is still open after 100 steps")
+                f"root polishing did not converge: the bracket "
+                f"{[float(a[i[0]]), float(b[i[0]])]} is still open after 100 steps")
+        fx, slope = f(m[i], x, slope=True)
+        if np.isnan(fx).any():
+            j = int(np.flatnonzero(np.isnan(fx))[0])
+            raise ConvergenceError(
+                f"root polishing failed: the function is NaN at {float(x[j])!r} inside the "
+                f"bracket {[float(a[i[j]]), float(b[i[j]])]}")
+        left = np.sign(fx) == np.sign(fa[i])
+        a[i], b[i] = np.where(left, x, a[i]), np.where(left, b[i], x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = fx / slope
+        after, small = x - step, np.abs(step) <= 1e-10 * x
+        root[i] = np.where(small, after, x)
+        live = (fx != 0) & ~small & (b[i] - a[i] > 4 * np.finfo(float).eps * b[i])
+        x = np.where((a[i] < after) & (after < b[i]), after, (a[i] + b[i]) / 2)[live]
+        i = i[live]
 
 
 def _top(n: int, bound: float) -> float:
@@ -625,7 +649,7 @@ def _cap_split(orders: list, n: int, theta0: float, bound: float):
 
     Orders are scanned upwards while the last one may hold an eigenvalue
     below ``bound`` and is not bound to fail (:meth:`_CapOrder.reach`); the
-    wanted brackets of all of them are polished in one Illinois run, and
+    wanted brackets of all of them are polished in one Newton run, and
     they are split one at a time from the lowest, so that orders are found
     and errors raised as if each order were solved alone.
     """

@@ -130,12 +130,15 @@ class TestConstant:
     def test_cap_sixty_roots_in_one_order(self, capsys):
         # the threshold lies above 63 eigenvalues of order 0, next to the
         # ceiling of 64 per order; the output is the one that
-        # finite-difference pivot counts on 2048 rows confirmed
+        # finite-difference pivot counts on 2048 rows confirmed.  The
+        # attained eigenvalue (order 7) is 4419.53008191789979681 by mpmath
+        # at 30 digits: the printed one is 1 ulp above its rounding, and M,
+        # formed with cancellation, is 1.5e-12 relative from 3.29566698619822e-4
         code, out, _ = run_cli(capsys, "constant", "--n", "4", "--alpha=135",
                                "--domain", "cap:3.0", "--format", "csv")
         assert code == 0
-        assert out.splitlines()[1] == ("4,135,cap:3.0,4290.25,0.00032956669862039043,,true,"
-                                       "ModeK,gap-condition,true,4419.5300819178983")
+        assert out.splitlines()[1] == ("4,135,cap:3.0,4290.25,0.00032956669861934466,,true,"
+                                       "ModeK,gap-condition,true,4419.530081917901")
 
     @pytest.mark.parametrize("alpha", ["1e12", "-1e12"])
     def test_huge_alpha_exact_and_fast(self, capsys, alpha):
@@ -172,6 +175,25 @@ class TestConstant:
         assert code == 2
         assert out == "" and "Traceback" not in err
         assert f"alpha = {float(alpha)!r}" in err and "double range" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("constant", "--alpha=0"), ("constant", "--alpha=1", "--domain", "cap:1.0"),
+        ("spectrum",), ("spectrum", "--domain", "cap:1.0"),
+        ("scan", "--alpha-from=0", "--alpha-to=1", "--step=1"),
+    ])
+    @pytest.mark.parametrize("digits", [156, 201, 401])
+    def test_n_past_double_range_exit_2(self, capsys, argv, digits):
+        # n^2 leaves the double range from about n = 1.34e154: the message names n,
+        # not alpha, and nothing is printed or overflows
+        code, out, err = run_cli(capsys, argv[0], "--n", str(10 ** (digits - 1)), *argv[1:])
+        assert code == 2
+        assert out == "" and "Traceback" not in err
+        assert f"n has {digits} digits" in err and "double range" in err
+
+    def test_n_inside_double_range_answers(self, capsys):
+        code, out, _ = run_cli(capsys, "spectrum", "--n", str(13 * 10 ** 153), "--count", "2")
+        assert code == 0
+        assert out.split()[-1] == "1.2999999999999999e+154"
 
     def test_alpha_inside_double_range_answers(self, capsys):
         code, out, _ = run_cli(capsys, "constant", "--n", "3", "--alpha=1e150",

@@ -194,8 +194,22 @@ class TestBreakingThresholdBound:
 
     def test_reference_values(self):
         assert breaking_threshold_bound(5) == pytest.approx(-0.05505, abs=1e-5)
+        # the correctly rounded t(5), by mpmath
+        assert breaking_threshold_bound(5) == -0.05505046330389334
         assert breaking_threshold_bound(4) == pytest.approx(0.26296, abs=1e-5)
         assert breaking_threshold_bound(9) < 0
+
+    def test_within_two_eps_of_mpmath(self):
+        # the rationalized form rounds an exact integer numerator, one sqrt
+        # and two sums, so 2 eps relative holds for every n; the form
+        # (n + 4 - 2 sqrt(n^2 - n + 1)) / 3 cancels and is up to 9.9 eps off
+        import mpmath as mp
+
+        for n in range(3, 200):
+            with mp.workdps(50):
+                exact = (n + 4 - 2 * mp.sqrt(n * n - n + 1)) / 3
+                error = abs(mp.mpf(breaking_threshold_bound(n)) - exact) / abs(exact)
+            assert error <= 2 * np.finfo(float).eps, n
 
     def test_negative_from_five(self):
         for n in range(5, 20):

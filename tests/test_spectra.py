@@ -1,5 +1,6 @@
 """Spectra by index: full sphere, arcs, caps, explicit lists."""
 
+import functools
 import math
 import time
 from collections import Counter
@@ -31,8 +32,8 @@ from rellich_cone.spectra import (
     _CapOrder,
     _collocation,
     _ferrers,
-    _illinois,
     _ladder,
+    _newton,
     _Roots,
 )
 
@@ -159,21 +160,37 @@ class TestCap:
         root = cap_spectrum(n, theta0).lambda_min
         assert root == pytest.approx(oracle, rel=1e-12)
 
-    def test_s3_cap_closed_form(self):
-        # on S^3 order 0 reduces to a sine equation: (j pi/theta0)^2 - 1
-        for theta0 in (1.0, 1.5, 2.5):
-            bound = (6 * np.pi / theta0) ** 2 - 1.5
-            values, above = _CapOrder(4, theta0, 0).split(bound)
-            exact = [(j * np.pi / theta0) ** 2 - 1 for j in range(1, 7)]
-            assert values + [above] == pytest.approx(exact, rel=1e-14)
+    @staticmethod
+    def _assert_within_two_ulps_in_K(values, exact, n):
+        # the solver's variable is K = sqrt(lam + k^2), k = (n - 2)/2: an
+        # error of 2 eps relative in K moves lam by 4 eps K^2 (the rounding
+        # of lam itself included)
+        k2 = (n - 2) ** 2 / 4
+        assert len(values) == len(exact)
+        for value, x in zip(values, exact):
+            assert abs(value - x) <= 4 * np.finfo(float).eps * (x + k2), (value, x)
 
-    @pytest.mark.parametrize("n", [4, 5])
+    def test_s3_cap_closed_form(self):
+        # on S^3 order 0 reduces to a sine equation: (j pi/theta0)^2 - 1,
+        # here for j = 1 .. 20
+        for theta0 in (0.2, 0.5, 1.0, 1.5, 2.0, 2.5, 2.9, 3.1):
+            bound = (19.5 * np.pi / theta0) ** 2 - 1
+            values, above = _CapOrder(4, theta0, 0).split(bound)
+            exact = [(j * np.pi / theta0) ** 2 - 1 for j in range(1, 21)]
+            self._assert_within_two_ulps_in_K(values + [above], exact, 4)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 8])
     def test_hemisphere_exact_clusters(self, n):
         # as test_hemisphere_n3_exact_forty: k(k + n - 2) once per order m
-        # with k - m odd, so clusters of equal values from several orders
+        # with k - m odd, so clusters of equal values from several orders;
+        # and each of the orders 0 to 7 alone, through its 12th value
         exact = sorted(k * (k + n - 2) for k in range(20) for m in range(k + 1)
                        if (k - m) % 2 == 1)[:40]
-        assert cap_spectrum(n, np.pi / 2).lowest(40) == pytest.approx(exact, rel=1e-14)
+        self._assert_within_two_ulps_in_K(cap_spectrum(n, np.pi / 2).lowest(40), exact, n)
+        for m in range(8):
+            exact = [k * (k + n - 2) for k in range(m + 1, m + 24, 2)]
+            below, above = _CapOrder(n, np.pi / 2, m).split(exact[-1] - 0.5)
+            self._assert_within_two_ulps_in_K(below + [above], exact, n)
 
     def test_hemisphere_n4_order_one(self):
         values, above = _CapOrder(4, np.pi / 2, 1).split(40.0)
@@ -358,8 +375,15 @@ class TestCap:
         expected = _CapOrder(4, 1.0, 0).split(60.0)
         pair = np.array([5.6, 5.65])
         ladder, build = spectra._ladder, spectra._collocation
-        monkeypatch.setattr(spectra, "_ladder", lambda n, theta0, m, K: (
-            ladder(n, theta0, m, K) * (K - pair[0]) * (K - pair[1])))
+
+        def with_pair(n, theta0, m, K, slope=False):
+            g = (K - pair[0]) * (K - pair[1])
+            if not slope:
+                return ladder(n, theta0, m, K) * g
+            psi, psi_K = ladder(n, theta0, m, K, slope=True)
+            return psi * g, psi_K * g + psi * (2 * K - pair.sum())
+
+        monkeypatch.setattr(spectra, "_ladder", with_pair)
         monkeypatch.setattr(spectra, "_collocation", lambda n, theta0, m, N: (
             np.sort(np.concatenate((build(n, theta0, m, N)[0], pair**2 - 1))), 0.0))
         steps = self._recording_restarts(monkeypatch)
@@ -397,14 +421,14 @@ class TestCap:
         ladder, build = spectra._ladder, spectra._collocation
         starts, points, builds, mixed = {}, Counter(), Counter(), []
 
-        def recording_ladder(n, theta0, m, K):
+        def recording_ladder(n, theta0, m, K, slope=False):
             orders = np.broadcast_to(m, K.shape).tolist()
             mixed.append(len(set(orders)) > 1)
             for order, k in zip(orders, K.tolist()):
                 start = starts.setdefault(order, k)
                 if start + SCAN_STEP * round((k - start) / SCAN_STEP) == k:
                     points[order, k] += 1
-            return ladder(n, theta0, m, K)
+            return ladder(n, theta0, m, K, slope)
 
         def recording_build(n, theta0, m, N):
             builds[m, N] += 1
@@ -423,7 +447,8 @@ class TestCap:
     @pytest.mark.parametrize("parity", [0, 1])
     def test_ladder_per_element_orders_bitwise(self, parity):
         # one order per element gives every element the bits that a call
-        # with that order alone gives it, and a scalar order broadcasts
+        # with that order alone gives it, with or without the slope, and a
+        # scalar order broadcasts
         rng = np.random.default_rng(34 + parity)
         for _ in range(40):
             n = int(rng.choice(np.arange(3, 13)[np.arange(3, 13) % 2 == parity]))
@@ -431,34 +456,82 @@ class TestCap:
             m = rng.integers(0, 21, size=int(rng.integers(1, 40)))
             K = m + (n - 2) / 2 + rng.uniform(0.0, 30.0, size=m.size)
             together = _ladder(n, theta0, m, K)
+            slopes = _ladder(n, theta0, m, K, slope=True)
             for order in set(m.tolist()):
                 at = m == order
                 assert np.array_equal(together[at], _ladder(n, theta0, order, K[at]))
+                for row, alone in zip(slopes, _ladder(n, theta0, order, K[at], slope=True)):
+                    assert np.array_equal(row[at], alone)
             assert np.array_equal(_ladder(n, theta0, m[:1], K[:1]),
                                   _ladder(n, theta0, int(m[0]), K[:1]))
 
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_ladder_slope_matches_mpmath(self, parity):
+        # (psi, psi_K) against the same climb at 30 digits, differentiated by
+        # mpmath, from mpmath's Ferrers functions for odd n.  The ladder
+        # scales psi by a factor of its own, so the check compares the
+        # directions of the two pairs: the sine of the angle between them,
+        # which is also the error of the Newton step psi / psi_K near a root.
+        # Bound: the start's phase K theta0 is rounded to about eps K theta0
+        # and each of the m + (n - 3)/2 steps adds a few eps; the largest
+        # seen on 360 random points was 2.6 eps (1 + K theta0 + m)
+        import mpmath as mp
+
+        def exact(n, theta0, m, K):
+            with mp.workdps(30):
+                t = mp.mpf(theta0)
+                s, c = mp.sin(t), mp.cos(t)
+
+                def psi(K):
+                    if n % 2 == 0:
+                        p, d, a = mp.sin(K * t), K * mp.cos(K * t), 1
+                    else:
+                        P, Pm1 = (mp.legenp(K - 0.5, mu, c, type=2) for mu in (0, -1))
+                        p = mp.sqrt(s) * P
+                        d, a = c / s / 2 * p - mp.sqrt(s) * (K * K - 0.25) * Pm1, 0.5
+                    for a in np.arange(a, m + (n - 3) / 2, 1.0).tolist():
+                        p, d = a * c / s * p - d, (K * K - (a / s) ** 2) * p + a * c / s * d
+                    return p
+
+                return float(psi(mp.mpf(K))), float(mp.diff(psi, mp.mpf(K)))
+
+        rng = np.random.default_rng(37 + parity)
+        for _ in range(12):
+            n = int(rng.choice(np.arange(3, 13)[np.arange(3, 13) % 2 == parity]))
+            theta0 = float(rng.uniform(0.05, 3.13))
+            m = rng.integers(0, 21, size=3)
+            K = np.array([_CapOrder(n, theta0, int(order)).start for order in m])
+            K += rng.uniform(0.0, 30.0, size=m.size)
+            psi, psi_K = _ladder(n, theta0, m, K, slope=True)
+            assert np.array_equal(psi, _ladder(n, theta0, m, K))
+            for order, k, p, q in zip(m.tolist(), K.tolist(), psi, psi_K):
+                P, Q = exact(n, theta0, order, k)
+                sine = abs(p * Q - q * P) / (math.hypot(p, q) * math.hypot(P, Q))
+                assert sine <= 8 * np.finfo(float).eps * (1 + k * theta0 + order), (n, order, k)
+
     def test_batched_pass_counts(self, monkeypatch):
-        # one Illinois run polishes every order a split touches, and only
-        # through each order's second bracket at or above the bound: 57
-        # ladder calls and 20 polished roots, where one order at a time
-        # polishing every bracket found took 91 and 80
+        # one Newton run polishes every order a split touches, and only
+        # through each order's second bracket at or above the bound: 30
+        # ladder calls and 20 polished roots, where Illinois steps took 57
+        # calls, and one order at a time polishing every bracket found took
+        # 91 and 80
         from rellich_cone import spectra
         from rellich_cone.cli import main
-        ladder, illinois = spectra._ladder, spectra._illinois
+        ladder, newton = spectra._ladder, spectra._newton
         calls, polished = [], []
 
-        def recording_ladder(*args):
+        def recording_ladder(*args, **kwargs):
             calls.append(1)
-            return ladder(*args)
+            return ladder(*args, **kwargs)
 
-        def recording_illinois(f, m, a, *rest):
+        def recording_newton(f, m, a, *rest):
             polished.append(a.size)
-            return illinois(f, m, a, *rest)
+            return newton(f, m, a, *rest)
 
         monkeypatch.setattr(spectra, "_ladder", recording_ladder)
-        monkeypatch.setattr(spectra, "_illinois", recording_illinois)
+        monkeypatch.setattr(spectra, "_newton", recording_newton)
         assert main(["spectrum", "--n", "5", "--domain", "cap:3.0401", "--count", "8"]) == 0
-        assert sum(polished) == 20 and len(calls) <= 60
+        assert sum(polished) == 20 and len(calls) <= 32
 
     @pytest.mark.parametrize("n,theta0", [
         (3, 0.4), (3, 2.2), (4, 1.3), (5, 0.7), (5, 2.6), (6, 1.9), (7, 1.0), (8, 2.4),
@@ -486,7 +559,11 @@ class TestCap:
         # hemisphere roots such as K = 3/2 at n = 3 land on scan points: each
         # zero is found once, whichever extension polishes it, and an
         # extension polishes only through its second bracket at or above top
-        f = lambda m, K: (K - 1.5) * (K - 2.25) * (K - 3.0) * (K - 3.5)
+        def f(m, K, slope=False):
+            # a zero's bracket is the point itself, so nothing is polished
+            assert not slope
+            return (K - 1.5) * (K - 2.25) * (K - 3.0) * (K - 3.5)
+
         scan = _Roots(f, 0, 1.0, 0.25, 0.5)
         assert scan.extend(1.0, 64) == [1.5, 2.25]
         assert scan.extend(2.5, 64) == [1.5, 2.25, 3.0, 3.5]
@@ -495,16 +572,47 @@ class TestCap:
 
     @pytest.mark.parametrize("f,message", [
         # the root lies where f is NaN, above 1.6
-        (lambda m, K: np.where(K > 1.6, np.nan, K - 1.8),
+        (lambda m, K, slope=False: (np.where(K > 1.6, np.nan, K - 1.8), np.ones_like(K)),
          r"NaN at 1\.6153846153846154 inside the bracket \[1\.5, 2\.0\]"),
-        # f(b) too small to move the secant off b: the bracket never closes
-        (lambda m, K: np.where(K < 1.7, -1e-300, 1.0),
-         r"the bracket \[1\.5, 2\.0\] is still open after 100 steps"),
+        # a slope so steep that every step moves the point by 1e-9 of
+        # itself, inside the bracket: the bracket never closes
+        (lambda m, K, slope=False: (K - 1.8, (1.8 - K) / (1e-9 * K)),
+         r"the bracket \[1\.61538\d*, 2\.0\] is still open after 100 steps"),
     ])
-    def test_illinois_refuses_nan_and_open_brackets(self, f, message):
+    def test_newton_refuses_nan_and_open_brackets(self, f, message):
         with pytest.raises(ConvergenceError, match=message):
-            _illinois(f, np.zeros(1), np.array([1.5]), np.array([2.0]),
-                      f(0, np.array([1.5])), np.array([1.0]))
+            _newton(f, np.zeros(1), np.array([1.5]), np.array([2.0]),
+                    np.array([-0.3]), np.array([1.0]))
+
+    def test_newton_bisects_steps_that_leave_the_bracket(self):
+        # a slope of the wrong sign sends every step out of the bracket, and
+        # a zero slope makes it infinite: bisection still closes the bracket
+        # around the root to 4 eps, with no warning about the division
+        for slope in (-1.0, 0.0):
+            f = lambda m, K, slope=False, s=slope: (K - 1.8, np.full_like(K, s))
+            with np.errstate(all="raise"):
+                root = _newton(f, np.zeros(1), np.array([1.5]), np.array([2.0]),
+                               np.array([-0.3]), np.array([0.2]))
+            assert abs(root[0] - 1.8) <= 8 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("n,theta0", [(4, 1.0), (5, 2.2), (7, 0.6)])
+    def test_newton_roots_independent_of_the_batch(self, n, theta0):
+        # every root has the bits it has when its bracket is polished alone,
+        # whatever brackets and orders share the run
+        scans = []
+        for m in range(4):
+            scan = _Roots(functools.partial(_ladder, n, theta0), m,
+                          _CapOrder(n, theta0, m).start, SCAN_STEP, math.pi / theta0)
+            scan.scan(25.0, 64)
+            scans.append(scan)
+        ends = [np.array([x for scan in scans for x in scan.brackets[e]]) for e in range(4)]
+        m = np.array([scan.m for scan in scans for _ in scan.brackets[0]])
+        f = scans[0].f
+        together = _newton(f, m, *(end.copy() for end in ends))
+        assert together.size >= 16
+        for j in range(m.size):
+            alone = _newton(f, m[j:j + 1], *(end[j:j + 1].copy() for end in ends))
+            assert together[j] == alone[0]
 
     def test_unresolvable_lambda_min_reported(self):
         # at n = 200 the hole's lambda_min is far below eps * (n-2)^2/4

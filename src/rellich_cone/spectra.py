@@ -4,12 +4,12 @@ Supported domains Sigma inside the unit sphere S^(n-1):
 
 * the full sphere, with the exact spectrum {k(n-2+k) : k = 0, 1, ...};
 * geodesic caps of radius theta0 in (0, pi) for n >= 3: each azimuthal
-  order's eigenvalues are the roots of a Legendre function, evaluated by an
-  elementary ladder (started for odd n from Mehler-Dirichlet integrals) that
-  also carries its K-derivative, and polished by Newton steps to full
-  precision; Chebyshev collocation, a second discretization, checks every
-  root's index, and the same collocation at two sizes is the independent
-  check of ``verify spectra``, so that caps need numpy alone;
+  order's eigenvalues are the roots of a Legendre function, evaluated with
+  its K-derivative by an elementary ladder (started for odd n from
+  Mehler-Dirichlet integrals); Chebyshev collocation, a second
+  discretization, counts the roots below a bound, seeds and brackets each,
+  and checks its index once Newton steps have polished it, and the same
+  collocation at two sizes is the independent check of ``verify spectra``;
 * arcs of length L in (0, 2*pi) for n = 2, with the exact interval
   spectrum {(k*pi/L)^2 : k = 1, 2, ...};
 * explicit user-supplied eigenvalue lists.
@@ -18,12 +18,9 @@ A :class:`Spectrum` answers by index instead of holding a list: its bottom
 eigenvalue lambda_min (0 exactly for the full sphere, strictly positive
 otherwise), its lowest ``count`` entries, and the two entries next to any
 value.  The sphere and the arc invert their closed forms, an explicit list
-bisects, and a cap scans each azimuthal order only up to the value,
-resuming where the last query stopped.  A cap query is one batched pass:
-the orders it touches are scanned one after the other, the roots it needs
-(each order's through its second past the value; other brackets stay
-pending) are polished in one Newton run over all of them, the ladder
-taking one order per element, and the orders are then checked one by one.
+bisects, and a cap solves each azimuthal order only up to the value,
+resuming where the last query stopped; one Newton run polishes the roots
+that a query needs from every order it touches.
 """
 
 from __future__ import annotations
@@ -87,8 +84,8 @@ class DomainSpec:
             if not self.values:
                 raise ValueError("explicit spectrum needs at least one eigenvalue")
             vals = tuple(float(v) for v in self.values)
-            if any(v < 0 for v in vals):
-                raise ValueError("explicit eigenvalues must be nonnegative")
+            if not all(0 <= v < math.inf for v in vals):  # NaN fails too
+                raise ValueError("explicit eigenvalues must be finite and nonnegative")
             if any(b < a for a, b in zip(vals, vals[1:])):
                 raise ValueError("explicit eigenvalues must be sorted ascending")
 
@@ -208,16 +205,13 @@ def explicit_spectrum(values) -> Spectrum:
 
 # ---------------------------------------------------------------------------
 # geodesic caps: each azimuthal order's eigenvalues are the roots of a
-# Legendre ladder; Chebyshev collocation, a second discretization, checks
-# every root's index.  numpy is imported inside these functions, so that the
-# sphere, arc and explicit spectra do not load it; nothing here loads scipy.
+# Legendre ladder, placed and index-checked by Chebyshev collocation, a
+# second discretization.  numpy is imported inside these functions, so that
+# the sphere, arc and explicit spectra do not load it; nothing here loads scipy.
 # ---------------------------------------------------------------------------
 
-SCAN_STEP = 0.25  # in K; the roots of one order lie about 1 or more apart
-SCAN_BLOCK = 64  # scan points between the checks of an order's CEILING
-REFINEMENTS = 3  # halvings of the scan step before an index disagreement is reported
 GAUSS_NODES = 20  # Gauss-Legendre nodes per panel of the Mehler-Dirichlet integrals
-# Collocation sizes of the index check, odd so that the pole is no node.
+# Collocation sizes, odd so that the pole is no node.
 # Trust rule: size N confirms the count at the midpoint of roots i and i + 1
 # of an order with nu = m + (n-3)/2 if TRUST (i + 1) + floor(nu) <= N.  It
 # held with an index to spare on 8355 (order, size) pairs (n <= 16, theta0
@@ -228,11 +222,11 @@ GAUSS_NODES = 20  # Gauss-Legendre nodes per panel of the Mehler-Dirichlet integ
 # 0.43, 2.2, 10, 31 and 240 ms by size.
 COLLOCATION_SIZES = (21, 41, 81, 161, 321, 641, 1281)
 TRUST = 5
-# Roots an order scans for one bound, what size 321 confirms at nu < 1.  The
-# scan stops at the first SCAN_BLOCK end holding more than CEILING and a bound
-# needs two past it, so an order answers for at least CEILING - 2 below it, and
-# for up to one block more (16 in K, about 16 theta0 / pi roots).
-CEILING = 64
+# The most eigenvalues one order answers for below one bound, counted by the
+# collocation before any ladder work: the most that the scan lattice of
+# earlier versions returned (79, at theta0 near pi), so that every bound they
+# answered still answers.  Size 641 confirms that count for floor(nu) <= 236.
+CEILING = 79
 
 
 @functools.cache
@@ -284,14 +278,6 @@ def _collocation(n: int, theta0: float, m: int, N: int):
     return lam[np.argsort(lam.real, kind="stable")], error
 
 
-@functools.cache
-def _gauss_legendre():
-    """Nodes and weights of the GAUSS_NODES-point Gauss-Legendre rule on (-1, 1)."""
-    import numpy as np
-
-    return np.polynomial.legendre.leggauss(GAUSS_NODES)
-
-
 @functools.lru_cache(maxsize=32)
 def _mehler_nodes(theta0: float, panels: int):
     """Nodes phi and weights of the Mehler-Dirichlet integrals over (0, theta0)
@@ -306,7 +292,7 @@ def _mehler_nodes(theta0: float, panels: int):
     """
     import numpy as np
 
-    x, g = _gauss_legendre()
+    x, g = np.polynomial.legendre.leggauss(GAUSS_NODES)
     edges = [j / panels for j in range(panels + 1)]
     while edges[1] > math.sqrt(2 * (math.pi - theta0) / theta0):
         edges.insert(1, edges[1] / 2)
@@ -320,9 +306,9 @@ def _mehler_nodes(theta0: float, panels: int):
     return theta0 * (1 - v * v), weight, weight * sin_phi
 
 
-def _ferrers(theta0: float, K, slope: bool = False):
+def _ferrers(theta0: float, K):
     """P = P_(K-1/2)(cos theta0) and P^(-1) of the same degree, for each K,
-    and with ``slope`` also their derivatives in K.
+    and their derivatives in K.
 
     Mehler-Dirichlet (DLMF 14.12.1): P is sqrt(2)/pi times the integral of
     cos(K phi), and P^(-1), its mu = 1 case integrated by parts, that times
@@ -334,7 +320,7 @@ def _ferrers(theta0: float, K, slope: bool = False):
     """
     import numpy as np
 
-    out = [np.empty_like(K) for _ in range(4 if slope else 2)]
+    out = [np.empty_like(K) for _ in range(4)]
     # the first power of two at which K phi changes by at most 8 across a
     # panel: a batch of K spans few panel counts
     panels = 2 ** np.ceil(np.log2(1 + K * theta0 / 4))
@@ -344,18 +330,17 @@ def _ferrers(theta0: float, K, slope: bool = False):
         angle, Ks = np.multiply.outer(K[at], phi), K[at] * math.sin(theta0)
         wave = np.cos(angle)
         out[0][at] = (wave * weight).sum(axis=1)
-        if slope:
-            out[3][at] = (wave * (phi * weight_sin)).sum(axis=1) / Ks
+        out[3][at] = (wave * (phi * weight_sin)).sum(axis=1) / Ks
         wave = np.sin(angle, out=angle)  # in place: no third (K, node) array is held
         out[1][at] = (wave * weight_sin).sum(axis=1) / Ks
-        if slope:
-            out[2][at] = -(wave * (phi * weight)).sum(axis=1)
-            out[3][at] -= out[1][at] / K[at]
+        out[2][at] = -(wave * (phi * weight)).sum(axis=1)
+        out[3][at] -= out[1][at] / K[at]
     return [math.sqrt(2) / math.pi * x for x in out]
 
 
-def _ladder(n: int, theta0: float, m, K, slope: bool = False):
-    """Order m's regular solution psi at theta0, up to a positive factor, for each K.
+def _ladder(n: int, theta0: float, m, K):
+    """Order m's regular solution psi at theta0 and its derivative psi_K in K,
+    under one positive factor, for each K.
 
     With phi = sin^(-(n-2)/2) psi order m reads -psi'' + (nu^2 - 1/4)/sin^2 psi
     = K^2 psi, nu = m + (n-3)/2, so its roots in K are the eigenvalues
@@ -368,11 +353,10 @@ def _ladder(n: int, theta0: float, m, K, slope: bool = False):
     cot/2 psi + sqrt(sin) P^1 with P^1 = -(K^2 - 1/4) P^(-1) (DLMF 14.5,
     14.9.3, 14.10).
 
-    With ``slope`` it returns (psi, psi_K) under one scale, so psi / psi_K is
-    the exact Newton step: psi_K climbs by the same step plus 2K psi.  ``m``
-    is one order for every K or an array of one order per K.  Each element
-    climbs only to its own order, by the same elementwise steps, so its value
-    (psi's bits with or without ``slope``) does not depend on the others.
+    psi / psi_K is the exact Newton step: psi_K climbs by the same step plus
+    2K psi.  ``m`` is one order for every K or an array of one order per K.
+    Each element climbs only to its own order, by the same elementwise
+    steps, so its value does not depend on the others.
     """
     import numpy as np
 
@@ -380,18 +364,13 @@ def _ladder(n: int, theta0: float, m, K, slope: bool = False):
     cot = c / s
     if n % 2 == 0:
         sin, cos = np.sin(K * theta0), np.cos(K * theta0)
-        psi, dpsi, a = sin, K * cos, 1.0
-        if slope:
-            psi, dpsi = np.array([psi, theta0 * cos]), np.array([dpsi, cos - K * theta0 * sin])
+        psi, dpsi = np.array([sin, theta0 * cos]), np.array([K * cos, cos - K * theta0 * sin])
+        a = 1.0
     else:
-        P, Pm1, *P_K = _ferrers(theta0, K, slope)
+        P, Pm1, P_K, Pm1_K = _ferrers(theta0, K)
         r, k2 = math.sqrt(s), K * K - 0.25
-        psi, a = r * P, 0.5
-        dpsi = 0.5 * cot * psi - r * k2 * Pm1
-        if slope:
-            psi_K = r * P_K[0]
-            psi, dpsi = np.array([psi, psi_K]), np.array(
-                [dpsi, 0.5 * cot * psi_K - r * (k2 * P_K[1] + 2 * K * Pm1)])
+        psi, a = np.array([r * P, r * P_K]), 0.5
+        dpsi = 0.5 * cot * psi - np.array([r * k2 * Pm1, r * (k2 * Pm1_K + 2 * K * Pm1)])
     # sorted by falling order (one order needs no sorting), the elements
     # still climbing at step a (those with a < nu) are a prefix
     nu = np.broadcast_to(np.asarray(m) + (n - 3) / 2, K.shape)
@@ -402,103 +381,19 @@ def _ladder(n: int, theta0: float, m, K, slope: bool = False):
     for a, live in zip(steps.tolist(), np.searchsorted(-nu, -steps).tolist()):
         p, d = psi[..., :live], dpsi[..., :live]
         p, d = a * cot * p - d, (K2[:live] - (a / s) ** 2) * p + a * cot * d
-        if slope:
-            d[1] += 2 * K[:live] * psi[0, :live]
-        scale = np.hypot(p[0], d[0]) if slope else np.hypot(p, d)
+        d[1] += 2 * K[:live] * psi[0, :live]
+        scale = np.hypot(p[0], d[0])
         psi[..., :live], dpsi[..., :live] = p / scale, d / scale
     out = np.empty_like(psi)
     out[..., rank] = psi
-    return tuple(out) if slope else out
+    return tuple(out)
 
 
-class _Roots:
-    """Ascending roots in K of ``f(m, K)`` above ``start``, for one order ``m``,
-    scanned as far as asked.
-
-    Sign changes on the lattice start + step * j (or an exact zero there)
-    bracket the roots.  Each scan call evaluates the lattice in chunks that
-    reach the asked top plus two root ``spacing``s, never past a multiple of
-    SCAN_BLOCK points, where the ``limit`` on brackets is checked; it
-    resumes where the last call stopped, so no lattice point is evaluated
-    twice.  Found brackets stay pending until :func:`_polish` takes them,
-    together with other orders', through the second bracket at or above the
-    top asked: a root keeps the same bits whatever call polished it.
-    """
-
-    def __init__(self, f, m: int, start: float, step: float, spacing: float):
-        self.f, self.m, self.start, self.step = f, m, start, step
-        self.width = math.ceil(2 * spacing / step)  # lattice points in two root spacings
-        self.j, self.last = 0, None  # the last lattice point evaluated and f there
-        self.brackets = ([], [], [], [])  # left and right ends, f at each
-        self.roots = []  # the polished ones, from the bottom
-
-    def scan(self, top: float, limit: int):
-        """Finds brackets until two start at or above ``top``, or more than
-        ``limit`` are found at the end of a block."""
-        import numpy as np
-
-        left = self.brackets[0]
-        while len(left) - bisect.bisect_left(left, top) < 2:
-            if self.j % SCAN_BLOCK == 0 and len(left) > limit:
-                break
-            block_end = (self.j // SCAN_BLOCK + 1) * SCAN_BLOCK
-            target = (top - self.start) / self.step + self.width
-            end = (min(block_end, max(self.j + self.width, math.ceil(target)))
-                   if target < block_end else block_end)
-            K = self.start + self.step * np.arange(self.j, end + 1)
-            if self.last is None:
-                fK = self.f(self.m, K)
-                # f > 0 at start, so a value <= 0 there puts a root within rounding of it
-                if fK[0] <= 0:
-                    self._add(K[:1], K[:1], fK[:1], fK[:1])
-            else:
-                fK = np.concatenate((self.last, self.f(self.m, K[1:])))
-            zero = fK[1:] == 0
-            hit = np.flatnonzero(zero | (fK[:-1] * fK[1:] < 0))
-            at = np.where(zero[hit], hit + 1, hit)
-            self._add(K[at], K[hit + 1], fK[at], fK[hit + 1])
-            self.j, self.last = end, fK[-1:]
-
-    def _add(self, *ends):
-        for held, new in zip(self.brackets, ends):
-            held += new.tolist()
-
-    def wanted(self, top: float) -> range:
-        """Indices of the pending brackets through the second at or above ``top``."""
-        left = self.brackets[0]
-        return range(len(self.roots), min(len(left), bisect.bisect_left(left, top) + 2))
-
-    def extend(self, top: float, limit: int) -> list:
-        """The roots through the second bracket at or above ``top``, or all
-        that a scan stopped by ``limit`` found."""
-        self.scan(top, limit)
-        _polish([self], top)
-        return self.roots
-
-
-def _polish(scans: list, top: float):
-    """Polishes, in one Newton run, the wanted brackets of every scan (see
-    :meth:`_Roots.wanted`); the scans share ``f``."""
-    import numpy as np
-
-    want = [(scan, scan.wanted(top)) for scan in scans]
-    want = [(scan, i) for scan, i in want if i]
-    if not want:
-        return
-    a, b, fa, fb = (np.array([x for scan, i in want for x in scan.brackets[e][i.start:i.stop]])
-                    for e in range(4))
-    m = np.array([scan.m for scan, i in want for _ in i])
-    roots = _newton(want[0][0].f, m, a, b, fa, fb).tolist()
-    for scan, i in want:
-        scan.roots += roots[:len(i)]
-        del roots[:len(i)]
-
-
-def _newton(f, m, a, b, fa, fb):
+def _newton(f, m, a, b, fa, x):
     """Roots of ``f(m, K)`` in K in the brackets [a, b] (a == b: a root at b),
     all at once, with ``m`` one entry per bracket, by Newton steps on
-    ``f(m, K, slope=True)`` = (f, f_K) from each bracket's secant point.  A
-    step that leaves the bracket (kept by the sign of f), or is not finite,
+    ``f(m, K)`` = (f, f_K) from the points ``x`` inside them.  A step that
+    leaves the open bracket (kept by the sign of f), or is not finite,
     bisects it instead; a root is done at f = 0, at a step within 1e-10 of
     the point (taken), or at a bracket closed to 4 eps.  A NaN f, or a
     bracket open after 100 steps, raises ConvergenceError.  Each element
@@ -506,7 +401,7 @@ def _newton(f, m, a, b, fa, fb):
     import numpy as np
 
     root, i = b.copy(), np.flatnonzero(a != b)
-    x = b[i] - fb[i] * (b[i] - a[i]) / (fb[i] - fa[i])
+    x = x[i]
     for steps in itertools.count():
         if i.size == 0:
             return root
@@ -514,7 +409,7 @@ def _newton(f, m, a, b, fa, fb):
             raise ConvergenceError(
                 f"root polishing did not converge: the bracket "
                 f"{[float(a[i[0]]), float(b[i[0]])]} is still open after 100 steps")
-        fx, slope = f(m[i], x, slope=True)
+        fx, slope = f(m[i], x)
         if np.isnan(fx).any():
             j = int(np.flatnonzero(np.isnan(fx))[0])
             raise ConvergenceError(
@@ -524,36 +419,61 @@ def _newton(f, m, a, b, fa, fb):
         a[i], b[i] = np.where(left, x, a[i]), np.where(left, b[i], x)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = fx / slope
-        after, small = x - step, np.abs(step) <= 1e-10 * x
+        after = x - step
+        inside = ((a[i] < after) & (after < b[i])) | (after == x)
+        small = inside & (np.abs(step) <= 1e-10 * x)
         root[i] = np.where(small, after, x)
         live = (fx != 0) & ~small & (b[i] - a[i] > 4 * np.finfo(float).eps * b[i])
-        x = np.where((a[i] < after) & (after < b[i]), after, (a[i] + b[i]) / 2)[live]
+        x = np.where(inside, after, (a[i] + b[i]) / 2)[live]
         i = i[live]
 
 
-def _top(n: int, bound: float) -> float:
-    """K a hair past that of the eigenvalue ``bound``, so that two roots lie
-    above it however sqrt rounds; a split itself compares eigenvalues, so an
-    eigenvalue equal to ``bound`` is never filed below it."""
-    k = (n - 2) / 2
-    return math.sqrt(bound + k * k) * (1 + 1e-12)
+def _polish(batch: list):
+    """Polishes, in one Newton run, each order's roots from the first not yet
+    polished to the ``want``-th, for each (order, want) in ``batch`` (orders
+    of one cap, each once).  The ladder's signs at all their bracket ends
+    (:meth:`_CapOrder.brackets`), taken in one call, must alternate from
+    + below root 0, or ConvergenceError; f > 0 at ``start``, so a value <= 0
+    there puts root 0 within rounding of it."""
+    import numpy as np
+
+    todo = [(order, range(len(order.roots), want)) for order, want in batch
+            if want > len(order.roots)]
+    if not todo:
+        return
+    ends, seeds = map(np.concatenate, zip(*(order.brackets(i) for order, i in todo)))
+    j = np.concatenate([np.arange(i.start, i.stop + 1) for _, i in todo])  # index of each end
+    m = np.concatenate([np.full(len(i) + 1, order.m) for order, i in todo])
+    f_ends, left = todo[0][0].ladder(m, ends)[0], np.flatnonzero(m[1:] == m[:-1])  # lower ends
+    wrong = (np.sign(f_ends) != (-1.0) ** j) & (j > 0)
+    wrong[left] |= ends[left] >= ends[left + 1]
+    if wrong.any():
+        raise ConvergenceError(
+            f"cap eigenvalues did not converge: the ladder's signs at the collocation "
+            f"brackets of order {m[wrong][0]} do not alternate")
+    a, b, fa = ends[left], ends[left + 1], f_ends[left]
+    b = np.where((j[left] == 0) & (fa <= 0), a, b)
+    x = np.where((a < seeds) & (seeds < b), seeds, (a + b) / 2)
+    roots = _newton(todo[0][0].ladder, m[left], a, b, fa, x).tolist()
+    for order, i in todo:
+        order.roots += roots[:len(i)]
+        del roots[:len(i)]
 
 
 class _CapOrder:
     """Azimuthal order m's eigenvalues on the cap, solved only as far as asked.
 
-    Every root has K > m + (n-2)/2 (order m's bottom on the full sphere is
-    m(m+n-2)) and K^2 > the potential's minimum on (0, theta0); below the
-    latter the ladder loses every digit.  Its roots are scanned by
-    :meth:`reach` (or by ``split`` itself) and polished together with other
-    orders' by :func:`_polish`.  Index check: exactly i + 1
-    collocation eigenvalues lie below the midpoint of roots i and i + 1, all
-    of them real.  Its size is the smallest that the trust rule lets confirm
-    the highest midpoint asked, and a disagreement moves it to the next
-    size; at the largest, a disagreement halves the scan step and restarts
-    this order alone, at most REFINEMENTS times.  The state persists between
-    bounds: a larger bound scans on, polishes the new brackets it needs and
-    counts only the new midpoints, and no size is solved twice.
+    Every root has K > ``start``: K > m + (n-2)/2 (order m's bottom on the
+    full sphere is m(m+n-2)) and K^2 > the potential's minimum on (0,
+    theta0), below which the ladder loses every digit.  The collocation
+    places the roots (:meth:`brackets`), and :func:`_polish` polishes them
+    together with other orders'.  Index check: exactly i + 1 collocation
+    eigenvalues lie below the midpoint of roots i and i + 1, all of them
+    real.  Its size is the smallest that the trust rule lets confirm the
+    highest midpoint asked, a disagreement moves it to the next size, and
+    one at the largest raises.  The state persists between bounds: a larger
+    bound polishes the new roots it needs and counts only the new
+    midpoints, and no size is solved twice.
     """
 
     def __init__(self, n: int, theta0: float, m: int):
@@ -563,82 +483,94 @@ class _CapOrder:
                          / math.sin(min(theta0, math.pi / 2)))
         self.ladder = functools.partial(_ladder, n, theta0)
         self.floor_nu = math.floor(nu)  # the collocation's order, see _collocation
-        self.size, self.values = 0, {}  # index into COLLOCATION_SIZES; eigenvalues per N
-        self.refinements = 0
-        self._restart(SCAN_STEP)
+        # the most eigenvalues below a bound: CEILING, or what size 1281 confirms
+        self.ceiling = min(CEILING, (COLLOCATION_SIZES[-1] - self.floor_nu) // TRUST - 1)
+        self.values = functools.cache(  # eigenvalues by index into COLLOCATION_SIZES
+            lambda s: _collocation(n, theta0, m, COLLOCATION_SIZES[s])[0])
+        # polished roots in K, midpoints whose count agreed, the index check's size
+        self.roots, self.checked, self.size = [], 0, 0
 
-    def _restart(self, step: float):
-        # roots lie about pi / theta0 apart in K
-        self.scan = _Roots(self.ladder, self.m, self.start, step, math.pi / self.theta0)
-        self.checked = 0  # midpoints whose count agreed, from the bottom
+    def _size(self, i: int) -> int:
+        """Index of the smallest size whose trust rule covers index ``i``, or of the largest."""
+        return next((s for s, N in enumerate(COLLOCATION_SIZES)
+                     if TRUST * (i + 1) + self.floor_nu <= N), len(COLLOCATION_SIZES) - 1)
 
-    def reach(self, bound: float) -> bool:
-        """Scans this order's brackets for ``split(bound)`` and tells whether
-        the next order is worth scanning too: whether this one may have a
-        root below ``bound`` with lambda > 0, stopped short of its CEILING,
-        and passes the index check's size limit with the roots that are
-        surely below ``bound`` (brackets that end below it)."""
-        if TRUST + self.floor_nu > COLLOCATION_SIZES[-1]:  # split refuses it from nu alone
-            return False
-        top = _top(self.n, bound)
-        self.scan.scan(top, CEILING)
-        left, right = self.scan.brackets[:2]
-        surely = bisect.bisect_left(right, math.sqrt(bound + self.k * self.k))
-        return (left[0] < top and right[0] > self.k
-                and len(left) - bisect.bisect_left(left, top) >= 2
-                and TRUST * (surely + 1) + self.floor_nu <= COLLOCATION_SIZES[-1])
-
-    def split(self, bound: float):
-        """The eigenvalues below ``bound``, ascending, and the first at or above it."""
-        import numpy as np
-
-        k, top = self.k, _top(self.n, bound)
-        if TRUST + self.floor_nu > COLLOCATION_SIZES[-1]:  # no size confirms root 0
+    def wanted(self, bound: float) -> int:
+        """How many roots ``split(bound)`` needs: two more than the
+        collocation counts below ``bound``, at a size whose trust rule covers
+        the index after them; ConvergenceError if no size confirms root 0 or
+        the count passes ``ceiling``."""
+        if self.ceiling < 0:
             raise ConvergenceError(
                 f"cap eigenvalues did not converge: order {self.m} has nu = "
                 f"{self.m + (self.n - 3) / 2:.15g}, and the index check of its lowest root needs "
                 f"a collocation size of {TRUST} + floor(nu) = {TRUST + self.floor_nu}, above "
                 f"the largest, {COLLOCATION_SIZES[-1]}; for order 0 this holds from "
                 f"n = {2 * (COLLOCATION_SIZES[-1] - TRUST) + 5} on")
+        s = self._size(0)
         while True:
-            lam = [(K - k) * (K + k) for K in self.scan.extend(top, CEILING)]
+            count = bisect.bisect_left(self.values(s).real, bound)
+            last, s = s, self._size(min(count, self.ceiling) + 1)
+            if s <= last:
+                return self._want(count, bound)
+
+    def _want(self, count: int, bound: float) -> int:
+        if count > self.ceiling:
+            raise ConvergenceError(
+                f"cap eigenvalues did not converge: order {self.m} has at least "
+                f"{self.ceiling + 1} eigenvalues below {bound:.6g}, more than the {self.ceiling} "
+                f"that one order answers for at nu = {self.m + (self.n - 3) / 2:.15g}")
+        return count + 2
+
+    def brackets(self, i: range):
+        """The len(i) + 1 bracket ends of roots i, ascending in K, and their
+        seeds.  Root r's seed is collocation value r, and the end between
+        roots r and r + 1 the K-midpoint of values r and r + 1, both at the
+        smallest size whose trust rule covers index r (a size that covers
+        only index r - 1 can misplace value r + 1 by a root spacing); root
+        0's lower end is ``start``.  So a root's bits depend on
+        (n, theta0, m, r) alone, whatever query polished it."""
+        import numpy as np
+
+        pairs = [self.values(self._size(r))[r:r + 2].real
+                 for r in range(max(i.start - 1, 0), i.stop)]
+        K = np.sqrt(np.maximum(np.array(pairs) + self.k * self.k, 0.0))
+        ends = (K[:, 0] + K[:, 1]) / 2
+        return (np.append(self.start, ends), K[:, 0]) if i.start == 0 else (ends, K[1:, 0])
+
+    def split(self, bound: float):
+        """The eigenvalues below ``bound``, ascending, and the first at or above it."""
+        import numpy as np
+
+        k, want = self.k, self.wanted(bound)
+        while True:
+            _polish([(self, want)])
+            lam = [(K - k) * (K + k) for K in self.roots]
             if lam[0] <= 0:
                 raise ConvergenceError(
                     f"cap eigenvalues did not converge: lambda_min at n={self.n}, "
                     f"theta0={self.theta0} lies below the roots' resolution, about "
                     f"eps * (n-2)^2/4")
             keep = bisect.bisect_left(lam, bound)
-            need = TRUST * (keep + 1) + self.floor_nu  # the size that confirms midpoint keep
-            if keep + 2 > len(lam) or need > COLLOCATION_SIZES[-1]:
-                raise ConvergenceError(
-                    f"cap eigenvalues did not converge: order {self.m} has more than "
-                    f"{CEILING} below {bound:.6g}, or needs a collocation size above "
-                    f"{COLLOCATION_SIZES[-1]}: beyond what the index check resolves")
-            self.size = max(self.size, next(s for s, N in enumerate(COLLOCATION_SIZES)
-                                            if need <= N))
-            while self.checked <= keep:
-                N = COLLOCATION_SIZES[self.size]
-                if N not in self.values:
-                    self.values[N] = _collocation(self.n, self.theta0, self.m, N)[0]
-                values, roots = self.values[N], np.array(lam[self.checked:keep + 2])
-                count = np.searchsorted(values.real, (roots[:-1] + roots[1:]) / 2)
-                # a complex value below a midpoint fails its count
-                real = count <= np.flatnonzero(values.imag).min(initial=values.size)
-                agree = (count == np.arange(self.checked + 1, keep + 2)) & real
-                self.checked += int(np.argmin(np.append(agree, False)))
-                if self.checked <= keep:
-                    if self.size + 1 == len(COLLOCATION_SIZES):
-                        break
-                    self.size += 1
-            if self.checked > keep:
-                return lam[:keep], lam[keep]
-            if self.refinements == REFINEMENTS:
-                raise ConvergenceError(
-                    f"cap eigenvalues did not converge: the indices of order {self.m}'s roots "
-                    f"below {bound:.6g} disagree with the collocation counts at size "
-                    f"{COLLOCATION_SIZES[-1]}")
-            self.refinements += 1
-            self._restart(self.scan.step / 2)
+            if keep + 2 <= len(lam):
+                break
+            want = self._want(keep, bound)  # the collocation put a root at bound above it
+        self.size = max(self.size, self._size(keep))
+        while self.checked <= keep:
+            values, roots = self.values(self.size), np.array(lam[self.checked:keep + 2])
+            count = np.searchsorted(values.real, (roots[:-1] + roots[1:]) / 2)
+            # a complex value below a midpoint fails its count
+            real = count <= np.flatnonzero(values.imag).min(initial=values.size)
+            agree = (count == np.arange(self.checked + 1, keep + 2)) & real
+            self.checked += int(np.argmin(np.append(agree, False)))
+            if self.checked <= keep:
+                if self.size + 1 == len(COLLOCATION_SIZES):
+                    raise ConvergenceError(
+                        f"cap eigenvalues did not converge: the indices of order {self.m}'s "
+                        f"roots below {bound:.6g} disagree with the collocation counts at size "
+                        f"{COLLOCATION_SIZES[-1]}")
+                self.size += 1
+        return lam[:keep], lam[keep]
 
 
 def _cap_split(orders: list, n: int, theta0: float, bound: float):
@@ -647,25 +579,24 @@ def _cap_split(orders: list, n: int, theta0: float, bound: float):
     none below ``bound``, since an order's bottom rises with m.  ``orders``
     holds each order's :class:`_CapOrder` and grows as needed.
 
-    Orders are scanned upwards while the last one may hold an eigenvalue
-    below ``bound`` and is not bound to fail (:meth:`_CapOrder.reach`); the
-    wanted brackets of all of them are polished in one Newton run, and
-    they are split one at a time from the lowest, so that orders are found
-    and errors raised as if each order were solved alone.
+    Orders join a batch while the last has an eigenvalue below ``bound`` by
+    the collocation and is not bound to fail (:meth:`_CapOrder.wanted`);
+    the batch's roots are polished in one Newton run, and its orders split
+    from the lowest, so that errors are raised as if each were solved alone.
     """
-    top = _top(n, bound)
-    below, above, scanned = [], math.inf, 0
+    below, above, batched = [], math.inf, 0
     for m in itertools.count():
-        if m == scanned:
+        if m == batched:
             batch = []
-            while True:
-                if scanned == len(orders):
-                    orders.append(_CapOrder(n, theta0, scanned))
-                batch.append(orders[scanned])
-                scanned += 1
-                if not batch[-1].reach(bound):
+            while not batch or batch[-1][1] > 2:  # until an order has none below bound
+                if batched == len(orders):
+                    orders.append(_CapOrder(n, theta0, batched))
+                order, batched = orders[batched], batched + 1
+                try:
+                    batch.append((order, order.wanted(bound)))
+                except ConvergenceError:  # its split raises this, after the lower orders'
                     break
-            _polish([order.scan for order in batch], top)
+            _polish(batch)
         values, first_above = orders[m].split(bound)
         below += values
         above = min(above, first_above)
@@ -682,13 +613,17 @@ def cap_spectrum(n: int, theta0: float) -> Spectrum:
     takes all orders below a bound that doubles until it holds ``count``
     entries, and records in ``resolution_meta`` the highest azimuthal order
     it solved as ``m_max`` (orders are not cut off), after ``method``.  Every
-    query extends the same per-order state, so an eigenvalue comes out the
-    same whatever query found it, unless a failed index check refined its
-    order in between.
+    query extends the same per-order state, and an eigenvalue has the same
+    bits whatever query found it.  A theta0 at which the largest collocation
+    matrix, of norm about 1281^5 / theta0^2, leaves the double range raises.
     """
     if n < 3:
         raise ValueError(f"cap spectra need n >= 3, got {n}")
     domain = DomainSpec.cap(theta0)
+    if math.isinf(COLLOCATION_SIZES[-1] ** 5 / domain.theta0 / domain.theta0):
+        raise ConvergenceError(
+            f"cap eigenvalues did not converge: theta0 = {domain.theta0!r} is so small that "
+            f"the collocation matrices leave the double range")
     split = functools.partial(_cap_split, [], n, domain.theta0)
     meta = {"method": "legendre-ladder"}
 
@@ -734,6 +669,8 @@ def load_spectrum_file(path) -> Spectrum:
                 values.append(float(text))
             except ValueError as exc:
                 raise SpectrumError(f"{path}:{lineno}: not a number: {text!r}") from exc
+            if not math.isfinite(values[-1]):
+                raise SpectrumError(f"{path}:{lineno}: not a finite number: {text!r}")
     if not values:
         raise SpectrumError(f"{path}: no eigenvalues found")
     return explicit_spectrum(values)

@@ -125,20 +125,21 @@ class TestConstant:
         assert time.perf_counter() - start < 1.0
         assert code == 4
         assert out == ""
-        assert "did not converge" in err and "more than 64 below" in err
+        assert "did not converge" in err and "eigenvalues below" in err
+        assert "order 0 has at least 80 eigenvalues below" in err and "more than the 79" in err
 
     def test_cap_sixty_roots_in_one_order(self, capsys):
-        # the threshold lies above 63 eigenvalues of order 0, next to the
-        # ceiling of 64 per order; the output is the one that
-        # finite-difference pivot counts on 2048 rows confirmed.  The
-        # attained eigenvalue (order 7) is 4419.53008191789979681 by mpmath
-        # at 30 digits: the printed one is 1 ulp above its rounding, and M,
-        # formed with cancellation, is 1.5e-12 relative from 3.29566698619822e-4
+        # the threshold lies above 63 eigenvalues of order 0; the output is
+        # the one that finite-difference pivot counts on 2048 rows
+        # confirmed.  The attained eigenvalue (order 7) is
+        # 4419.53008191789979681 by mpmath at 30 digits: the printed one is
+        # 2 ulps below its rounding (under 1 ulp in K), and M, formed with
+        # cancellation, is 1.7e-12 relative from 3.29566698619822e-4
         code, out, _ = run_cli(capsys, "constant", "--n", "4", "--alpha=135",
                                "--domain", "cap:3.0", "--format", "csv")
         assert code == 0
-        assert out.splitlines()[1] == ("4,135,cap:3.0,4290.25,0.00032956669861934466,,true,"
-                                       "ModeK,gap-condition,true,4419.530081917901")
+        assert out.splitlines()[1] == ("4,135,cap:3.0,4290.25,0.00032956669862039043,,true,"
+                                       "ModeK,gap-condition,true,4419.5300819178983")
 
     @pytest.mark.parametrize("alpha", ["1e12", "-1e12"])
     def test_huge_alpha_exact_and_fast(self, capsys, alpha):
@@ -519,6 +520,15 @@ class TestSpectrumCommand:
                 f"collocation size of 5 + floor(nu) = {size}, above the largest, 1281; for order 0 "
                 "this holds from n = 2557 on") in done.stderr
         assert "more than" not in done.stderr
+
+    @pytest.mark.parametrize("theta0", ["1e-160", "1e-200", "5e-324"])
+    def test_cap_past_double_range_exit_4(self, capsys, theta0):
+        # the collocation matrix of such a cap leaves the double range: the
+        # message names theta0, with no warning from numpy
+        code, out, err = run_cli(capsys, "spectrum", "--n", "4", "--domain", f"cap:{theta0}",
+                                 "--count", "2")
+        assert code == 4 and out == ""
+        assert f"theta0 = {float(theta0)!r} is so small" in err and "Warning" not in err
 
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "--n", "3", "--domain",

@@ -26,15 +26,15 @@ from rellich_cone import (
 )
 
 from rellich_cone.spectra import (
+    CEILING,
     COLLOCATION_SIZES,
-    SCAN_STEP,
     TRUST,
     _CapOrder,
     _collocation,
     _ferrers,
     _ladder,
     _newton,
-    _Roots,
+    _polish,
 )
 
 from fd_oracle import cap_fd, cap_tridiagonal, lapack_count
@@ -192,6 +192,37 @@ class TestCap:
             below, above = _CapOrder(n, np.pi / 2, m).split(exact[-1] - 0.5)
             self._assert_within_two_ulps_in_K(below + [above], exact, n)
 
+    @pytest.mark.parametrize("theta0", [1e-2, 1e-4, 1e-6, 1e-8])
+    @pytest.mark.parametrize("n", [3, 4, 5, 8])
+    def test_small_cap_inside_bessel_bracket(self, n, theta0):
+        # 1/sin^2 - 1/theta^2 increases on (0, pi), so min-max puts order
+        # m's j-th value of K^2 between j_{nu,j}^2 / theta0^2 and that plus
+        # (nu^2 - 1/4)(1/sin^2 theta0 - 1/theta0^2), nu = m + (n-3)/2 (the
+        # ends swap for nu < 1/2).  The 8 lowest cap eigenvalues then lie
+        # between the 8 lowest lower and upper ends over all (m, j); orders
+        # m >= 8 and j > 8 start above both.  Each value may round by 2 ulps
+        # in K, as in the exact families.  The walk to the first root that
+        # a lattice scan would take grows like 1/theta0: each cap answers
+        # within a second
+        import mpmath as mp
+
+        start = time.perf_counter()
+        values = cap_spectrum(n, theta0).lowest(8)
+        assert time.perf_counter() - start < 1.0
+        with mp.workdps(40):
+            t, k2 = mp.mpf(theta0), mp.mpf(n - 2) ** 2 / 4
+            excess = 1 / mp.sin(t) ** 2 - 1 / t**2
+            ends = []
+            for m in range(8):
+                nu = m + mp.mpf(n - 3) / 2
+                for j in range(1, 9):
+                    base = mp.besseljzero(nu, j) ** 2 / t**2 - k2
+                    ends.append(sorted((base, base + (nu * nu - mp.mpf(1) / 4) * excess)))
+            lower, upper = (sorted(float(e[side]) for e in ends)[:8] for side in (0, 1))
+        for value, lo, hi in zip(values, lower, upper):
+            slack = 4 * np.finfo(float).eps * (value + float(k2))
+            assert lo - slack <= value <= hi + slack, (value, lo, hi)
+
     def test_hemisphere_n4_order_one(self):
         values, above = _CapOrder(4, np.pi / 2, 1).split(40.0)
         assert values + [above] == pytest.approx([8, 24, 48], rel=1e-14)
@@ -228,7 +259,7 @@ class TestCap:
         from scipy.special import lpmv
 
         K = np.concatenate((np.arange(0.75, 10.0, 0.5), np.geomspace(10.0, 120.0, 12)))
-        P, Pm1 = _ferrers(theta0, K)
+        P, Pm1 = _ferrers(theta0, K)[:2]
         x = math.cos(theta0)
         for k, p, q in zip(K.tolist(), P, Pm1):
             with mp.workdps(30):
@@ -274,7 +305,8 @@ class TestCap:
         # ladder's index
         order = _CapOrder(n, theta0, m)
         k = order.k
-        lam = np.array([(K - k) * (K + k) for K in order.scan.extend(math.inf, 80)])
+        _polish([(order, 81)])
+        lam = np.array([(K - k) * (K + k) for K in order.roots])
         assert lam[0] > 0
         for N in COLLOCATION_SIZES:
             trusted = min(max((N - m - (n - 3) // 2) // TRUST, 0), len(lam) - 1)
@@ -298,7 +330,8 @@ class TestCap:
     def test_complex_value_fails_its_count(self, monkeypatch):
         # a collocation value below a midpoint with a nonzero imaginary part
         # fails the count even where the real parts count right: the order
-        # moves on to the next size, without refining its scan
+        # moves on to the next size, and its roots (seeded from real parts)
+        # stay as they were
         from rellich_cone import spectra
         build, sizes = spectra._collocation, []
 
@@ -314,141 +347,121 @@ class TestCap:
         monkeypatch.setattr(spectra, "_collocation", complex_at_21)
         order = _CapOrder(4, 1.0, 0)
         assert order.split(60.0) == expected
-        assert sizes == [21, 41] and order.refinements == 0
-
-    def test_disagreement_moves_up_the_sizes(self, monkeypatch):
-        # a trust rule far too bold costs collocations, not answers: each
-        # count that fails at one size is taken again at the next, and no
-        # order refines its scan
-        from rellich_cone import spectra
-        spec = cap_spectrum(3, 2.9)
-        expected = spec.lowest(24), spec.neighbours(400.0)
-        build, builds, steps = spectra._collocation, Counter(), []
-        restart = spectra._CapOrder._restart
-
-        def recording_build(n, theta0, m, N):
-            builds[m] += 1
-            return build(n, theta0, m, N)
-
-        def recording_restart(order, step):
-            steps.append(step)
-            return restart(order, step)
-
-        monkeypatch.setattr(spectra, "TRUST", 1)
-        monkeypatch.setattr(spectra, "_collocation", recording_build)
-        monkeypatch.setattr(spectra._CapOrder, "_restart", recording_restart)
-        spec = cap_spectrum(3, 2.9)
-        assert (spec.lowest(24), spec.neighbours(400.0)) == expected
-        assert set(steps) == {SCAN_STEP} and max(builds.values()) >= 3
+        assert sizes == [21, 41]
 
     @staticmethod
-    def _recording_restarts(monkeypatch):
+    def _complex_below(monkeypatch, size):
+        # the collocation with a complex value at index 1 at every size below
+        # ``size``: the seeds (real parts) do not move, the counts fail
         from rellich_cone import spectra
-        restart, steps = spectra._CapOrder._restart, []
+        build, builds = spectra._collocation, Counter()
 
-        def recording(order, step):
-            steps.append(step)
-            return restart(order, step)
+        def complex_at_1(n, theta0, m, N):
+            builds[m, N] += 1
+            values, error = build(n, theta0, m, N)
+            if N < size:
+                values = values.copy()
+                values[1] += 1e-3j
+            return values, error
 
-        monkeypatch.setattr(spectra._CapOrder, "_restart", recording)
-        return steps
+        monkeypatch.setattr(spectra, "_collocation", complex_at_1)
+        return builds
 
-    def test_refinements_exhausted_raise(self, monkeypatch):
-        # counts that disagree at every size, the largest included: the
-        # order halves its scan step REFINEMENTS times, then reports the
-        # disagreement
+    def test_disagreement_moves_up_the_sizes(self, monkeypatch):
+        # each count that fails at one size is taken again at the next: a
+        # count that fails at every size below 161 costs collocations, not
+        # answers
+        spec = cap_spectrum(3, 2.9)
+        expected = spec.lowest(24), spec.neighbours(400.0)
+        builds = self._complex_below(monkeypatch, 161)
+        spec = cap_spectrum(3, 2.9)
+        assert (spec.lowest(24), spec.neighbours(400.0)) == expected
+        assert len({m for m, N in builds if N == 161}) >= 2
+
+    def test_disagreement_at_the_largest_size_raises(self, monkeypatch):
+        self._complex_below(monkeypatch, math.inf)
+        with pytest.raises(ConvergenceError, match="disagree with the collocation counts at "
+                                                   "size 1281"):
+            _CapOrder(4, 1.0, 0).split(60.0)
+
+    def test_brackets_whose_signs_do_not_alternate_raise(self, monkeypatch):
+        # a collocation that misses a value puts two roots in one bracket:
+        # the ladder has the same sign at both of its ends, and the query fails
         from rellich_cone import spectra
-        steps = self._recording_restarts(monkeypatch)
-        monkeypatch.setattr(spectra, "_collocation", lambda n, theta0, m, N: (np.empty(0), 0.0))
-        order = _CapOrder(4, 1.0, 0)
-        with pytest.raises(ConvergenceError, match="disagree with the collocation counts"):
-            order.split(60.0)
-        assert steps == [SCAN_STEP, 0.125, 0.0625, 0.03125]
-        assert order.refinements == spectra.REFINEMENTS == 3
-
-    def test_refinement_finds_a_missed_root_pair(self, monkeypatch):
-        # a root pair inside one scan step, at K = 5.6 and 5.65 between the
-        # lattice points 5.5 and 5.75, is missed at SCAN_STEP and found at
-        # half of it: the counts disagree only until the first restart, and
-        # the order's own roots come out as without the pair
-        from rellich_cone import spectra
-        expected = _CapOrder(4, 1.0, 0).split(60.0)
-        pair = np.array([5.6, 5.65])
-        ladder, build = spectra._ladder, spectra._collocation
-
-        def with_pair(n, theta0, m, K, slope=False):
-            g = (K - pair[0]) * (K - pair[1])
-            if not slope:
-                return ladder(n, theta0, m, K) * g
-            psi, psi_K = ladder(n, theta0, m, K, slope=True)
-            return psi * g, psi_K * g + psi * (2 * K - pair.sum())
-
-        monkeypatch.setattr(spectra, "_ladder", with_pair)
+        build = spectra._collocation
         monkeypatch.setattr(spectra, "_collocation", lambda n, theta0, m, N: (
-            np.sort(np.concatenate((build(n, theta0, m, N)[0], pair**2 - 1))), 0.0))
-        steps = self._recording_restarts(monkeypatch)
-        order = _CapOrder(4, 1.0, 0)
-        assert order.scan.start == 1.0
-        below, above = order.split(60.0)
-        assert steps == [SCAN_STEP, 0.125] and order.refinements == 1
-        assert below[1:3] == pytest.approx(pair**2 - 1, rel=1e-13)
-        assert below[:1] + below[3:] == pytest.approx(expected[0], rel=1e-13)
-        assert above == pytest.approx(expected[1], rel=1e-13)
+            np.delete(build(n, theta0, m, N)[0], 1), 0.0))
+        with pytest.raises(ConvergenceError, match="brackets of order 0 do not alternate"):
+            _CapOrder(4, 1.0, 0).split(60.0)
 
-    @pytest.mark.parametrize("bound,count", [
-        (64**2, 61), (70**2, 66), (75**2, 71), (79**2 - 1, 75), (80**2, None)])
-    def test_ceiling_at_block_ends(self, bound, count):
-        # the scan stops at the first SCAN_BLOCK end holding more than
-        # CEILING brackets; roots lie pi / theta0 apart in K, so at
-        # theta0 = 3 one block of 16 in K adds about 15 of them past 64
-        order = _CapOrder(4, 3.0, 0)
-        if count is None:
-            with pytest.raises(ConvergenceError, match="more than 64 below"):
-                order.split(bound)
-        else:
-            assert len(order.split(bound)[0]) == count
+    def test_ceiling_is_an_exact_count(self, monkeypatch):
+        # n = 4, m = 0 has lambda_j = (pi j / theta0)^2 - 1: with CEILING of
+        # them below the bound the order answers, wherever the bound lies
+        # between roots; with one more it names both counts, from the
+        # collocation alone (no ladder is evaluated)
+        from rellich_cone import spectra
+        theta0 = 3.0
+        lam = [(math.pi * j / theta0) ** 2 - 1 for j in range(1, CEILING + 3)]
+        for bound in (lam[CEILING - 1] * (1 + 1e-9), (lam[CEILING - 1] + lam[CEILING]) / 2,
+                      lam[CEILING] * (1 - 1e-9)):
+            assert len(_CapOrder(4, theta0, 0).split(bound)[0]) == CEILING
+        assert len(_CapOrder(4, theta0, 0).split(79**2 - 1)[0]) == 75
+
+        def no_ladder(*args, **kwargs):
+            raise AssertionError("the ladder was evaluated")
+
+        monkeypatch.setattr(spectra, "_ladder", no_ladder)
+        with pytest.raises(ConvergenceError, match=f"order 0 has at least {CEILING + 1} "
+                           f"eigenvalues below .*, more than the {CEILING} that one order"):
+            _CapOrder(4, theta0, 0).split((lam[CEILING] + lam[CEILING + 1]) / 2)
 
     @pytest.mark.parametrize("n,theta0", [(4, 1.0), (5, 2.2)])
     def test_queries_extend_one_scan_per_order(self, monkeypatch, n, theta0):
         # lambda_min, lowest and neighbours extend one state per order: no
-        # order evaluates its ladder twice at a point of its scan grid
-        # start + SCAN_STEP * j, whose first point is the order's first
-        # evaluation, or solves a collocation size twice (no index check
-        # fails here, so no order restarts).  The ladder takes one order per
-        # element, so each element is recorded under its own order, and the
-        # polishing calls do carry several orders at once
+        # root is polished twice and no order solves a collocation size
+        # twice, and the polishing runs do carry several orders at once
         from rellich_cone import spectra
-        ladder, build = spectra._ladder, spectra._collocation
-        starts, points, builds, mixed = {}, Counter(), Counter(), []
+        newton, build = spectra._newton, spectra._collocation
+        polished, builds, mixed = Counter(), Counter(), []
 
-        def recording_ladder(n, theta0, m, K, slope=False):
-            orders = np.broadcast_to(m, K.shape).tolist()
-            mixed.append(len(set(orders)) > 1)
-            for order, k in zip(orders, K.tolist()):
-                start = starts.setdefault(order, k)
-                if start + SCAN_STEP * round((k - start) / SCAN_STEP) == k:
-                    points[order, k] += 1
-            return ladder(n, theta0, m, K, slope)
+        def recording_newton(f, m, *rest):
+            roots = newton(f, m, *rest)
+            mixed.append(len(set(m.tolist())) > 1)
+            polished.update(zip(m.tolist(), roots.tolist()))
+            return roots
 
         def recording_build(n, theta0, m, N):
             builds[m, N] += 1
             return build(n, theta0, m, N)
 
-        monkeypatch.setattr(spectra, "_ladder", recording_ladder)
+        monkeypatch.setattr(spectra, "_newton", recording_newton)
         monkeypatch.setattr(spectra, "_collocation", recording_build)
         spec = cap_spectrum(n, theta0)
         listed = spec.lowest(16)
         assert spec.neighbours(2 * listed[-1])[0] > listed[-1]
         assert spec.lowest(4) == listed[:4] and spec.lambda_min == listed[0]
         assert len({m for m, _ in builds}) > 3 and max(builds.values()) == 1
-        assert len(points) > 100 and max(points.values()) == 1
+        assert len(polished) > 40 and max(polished.values()) == 1
         assert any(mixed)
+
+    @pytest.mark.parametrize("n,theta0", [(3, 1.0), (4, 3.0), (5, 0.7), (6, 2.5), (7, 1e-4)])
+    def test_roots_independent_of_the_query(self, n, theta0):
+        # a root's bits depend on (n, theta0, m, i) alone: a spectrum asked
+        # for neighbours first and one asked for its lowest entries first
+        # give the same values, bit for bit
+        values = (3.5, 40.0, 150.0) if theta0 > 1e-3 else (3e9, 1e10)
+        first = cap_spectrum(n, theta0)
+        near = [first.neighbours(x) for x in values]
+        listed = first.lowest(30)
+        second = cap_spectrum(n, theta0)
+        assert second.lowest(30) == listed
+        assert [second.neighbours(x) for x in values] == near
 
     @pytest.mark.parametrize("parity", [0, 1])
     def test_ladder_per_element_orders_bitwise(self, parity):
         # one order per element gives every element the bits that a call
-        # with that order alone gives it, with or without the slope, and a
-        # scalar order broadcasts
+        # with that order alone gives it, psi and psi_K, and a scalar order
+        # broadcasts
         rng = np.random.default_rng(34 + parity)
         for _ in range(40):
             n = int(rng.choice(np.arange(3, 13)[np.arange(3, 13) % 2 == parity]))
@@ -456,11 +469,9 @@ class TestCap:
             m = rng.integers(0, 21, size=int(rng.integers(1, 40)))
             K = m + (n - 2) / 2 + rng.uniform(0.0, 30.0, size=m.size)
             together = _ladder(n, theta0, m, K)
-            slopes = _ladder(n, theta0, m, K, slope=True)
             for order in set(m.tolist()):
                 at = m == order
-                assert np.array_equal(together[at], _ladder(n, theta0, order, K[at]))
-                for row, alone in zip(slopes, _ladder(n, theta0, order, K[at], slope=True)):
+                for row, alone in zip(together, _ladder(n, theta0, order, K[at])):
                     assert np.array_equal(row[at], alone)
             assert np.array_equal(_ladder(n, theta0, m[:1], K[:1]),
                                   _ladder(n, theta0, int(m[0]), K[:1]))
@@ -502,8 +513,7 @@ class TestCap:
             m = rng.integers(0, 21, size=3)
             K = np.array([_CapOrder(n, theta0, int(order)).start for order in m])
             K += rng.uniform(0.0, 30.0, size=m.size)
-            psi, psi_K = _ladder(n, theta0, m, K, slope=True)
-            assert np.array_equal(psi, _ladder(n, theta0, m, K))
+            psi, psi_K = _ladder(n, theta0, m, K)
             for order, k, p, q in zip(m.tolist(), K.tolist(), psi, psi_K):
                 P, Q = exact(n, theta0, order, k)
                 sine = abs(p * Q - q * P) / (math.hypot(p, q) * math.hypot(P, Q))
@@ -511,14 +521,14 @@ class TestCap:
 
     def test_batched_pass_counts(self, monkeypatch):
         # one Newton run polishes every order a split touches, and only
-        # through each order's second bracket at or above the bound: 30
-        # ladder calls and 20 polished roots, where Illinois steps took 57
-        # calls, and one order at a time polishing every bracket found took
-        # 91 and 80
+        # through each order's second root at or above the bound: 21 ladder
+        # calls (the signs at the bracket ends and the Newton steps) and 20
+        # polished roots, seeded and checked by 8 collocations; a scan
+        # lattice that bracketed them took 30 ladder calls and 7 collocations
         from rellich_cone import spectra
         from rellich_cone.cli import main
-        ladder, newton = spectra._ladder, spectra._newton
-        calls, polished = [], []
+        ladder, newton, build = spectra._ladder, spectra._newton, spectra._collocation
+        calls, polished, builds = [], [], []
 
         def recording_ladder(*args, **kwargs):
             calls.append(1)
@@ -528,10 +538,15 @@ class TestCap:
             polished.append(a.size)
             return newton(f, m, a, *rest)
 
+        def recording_build(*args):
+            builds.append(args[3])
+            return build(*args)
+
         monkeypatch.setattr(spectra, "_ladder", recording_ladder)
         monkeypatch.setattr(spectra, "_newton", recording_newton)
+        monkeypatch.setattr(spectra, "_collocation", recording_build)
         assert main(["spectrum", "--n", "5", "--domain", "cap:3.0401", "--count", "8"]) == 0
-        assert sum(polished) == 20 and len(calls) <= 32
+        assert (sum(polished), len(calls), len(builds)) == (20, 21, 8)
 
     @pytest.mark.parametrize("n,theta0", [
         (3, 0.4), (3, 2.2), (4, 1.3), (5, 0.7), (5, 2.6), (6, 1.9), (7, 1.0), (8, 2.4),
@@ -555,63 +570,57 @@ class TestCap:
         roots = cap_spectrum(3, np.pi / 3).lowest(2)
         assert all(abs(r - v) <= err for r, (v, err) in zip(roots, coarse))
 
-    def test_exact_zero_at_a_scan_point_is_one_root(self):
-        # hemisphere roots such as K = 3/2 at n = 3 land on scan points: each
-        # zero is found once, whichever extension polishes it, and an
-        # extension polishes only through its second bracket at or above top
-        def f(m, K, slope=False):
-            # a zero's bracket is the point itself, so nothing is polished
-            assert not slope
-            return (K - 1.5) * (K - 2.25) * (K - 3.0) * (K - 3.5)
-
-        scan = _Roots(f, 0, 1.0, 0.25, 0.5)
-        assert scan.extend(1.0, 64) == [1.5, 2.25]
-        assert scan.extend(2.5, 64) == [1.5, 2.25, 3.0, 3.5]
-        # every zero is its own bracket, and none is bracketed twice
-        assert scan.brackets[0] == scan.brackets[1] == [1.5, 2.25, 3.0, 3.5]
-
     @pytest.mark.parametrize("f,message", [
         # the root lies where f is NaN, above 1.6
-        (lambda m, K, slope=False: (np.where(K > 1.6, np.nan, K - 1.8), np.ones_like(K)),
+        (lambda m, K: (np.where(K > 1.6, np.nan, K - 1.8), np.ones_like(K)),
          r"NaN at 1\.6153846153846154 inside the bracket \[1\.5, 2\.0\]"),
         # a slope so steep that every step moves the point by 1e-9 of
         # itself, inside the bracket: the bracket never closes
-        (lambda m, K, slope=False: (K - 1.8, (1.8 - K) / (1e-9 * K)),
+        (lambda m, K: (K - 1.8, (1.8 - K) / (1e-9 * K)),
          r"the bracket \[1\.61538\d*, 2\.0\] is still open after 100 steps"),
     ])
     def test_newton_refuses_nan_and_open_brackets(self, f, message):
+        # from the secant point of f = -0.3 at 1.5 and 1.0 at 2.0
         with pytest.raises(ConvergenceError, match=message):
             _newton(f, np.zeros(1), np.array([1.5]), np.array([2.0]),
-                    np.array([-0.3]), np.array([1.0]))
+                    np.array([-0.3]), np.array([2.0 - 0.5 / 1.3]))
 
     def test_newton_bisects_steps_that_leave_the_bracket(self):
         # a slope of the wrong sign sends every step out of the bracket, and
         # a zero slope makes it infinite: bisection still closes the bracket
         # around the root to 4 eps, with no warning about the division
         for slope in (-1.0, 0.0):
-            f = lambda m, K, slope=False, s=slope: (K - 1.8, np.full_like(K, s))
+            f = lambda m, K, s=slope: (K - 1.8, np.full_like(K, s))
             with np.errstate(all="raise"):
                 root = _newton(f, np.zeros(1), np.array([1.5]), np.array([2.0]),
-                               np.array([-0.3]), np.array([0.2]))
+                               np.array([-0.3]), np.array([1.6]))
             assert abs(root[0] - 1.8) <= 8 * np.finfo(float).eps
+
+    def test_newton_keeps_a_small_step_inside_the_bracket(self):
+        # f jumps from + to - across the ulp above 49, and a Newton step from
+        # its upper end lands on 49, where f > 0: the root is the end inside
+        # the bracket, not 49
+        above = np.nextafter(49.0, 50.0)
+        f = lambda m, K: (np.where(K < above, 1.0, -1.0),
+                                       np.full_like(K, -1 / (above - 49.0)))
+        root = _newton(f, np.zeros(1), np.array([49.0]), np.array([49.5]),
+                       np.array([1.0]), np.array([above]))
+        assert root[0] == above
 
     @pytest.mark.parametrize("n,theta0", [(4, 1.0), (5, 2.2), (7, 0.6)])
     def test_newton_roots_independent_of_the_batch(self, n, theta0):
         # every root has the bits it has when its bracket is polished alone,
         # whatever brackets and orders share the run
-        scans = []
-        for m in range(4):
-            scan = _Roots(functools.partial(_ladder, n, theta0), m,
-                          _CapOrder(n, theta0, m).start, SCAN_STEP, math.pi / theta0)
-            scan.scan(25.0, 64)
-            scans.append(scan)
-        ends = [np.array([x for scan in scans for x in scan.brackets[e]]) for e in range(4)]
-        m = np.array([scan.m for scan in scans for _ in scan.brackets[0]])
-        f = scans[0].f
-        together = _newton(f, m, *(end.copy() for end in ends))
-        assert together.size >= 16
+        orders = [_CapOrder(n, theta0, m) for m in range(4)]
+        ends, seeds = zip(*(order.brackets(range(5)) for order in orders))
+        a, b = (np.concatenate([e[j] for e in ends]) for j in (slice(None, -1), slice(1, None)))
+        m, x, f = np.repeat(np.arange(4), 5), np.concatenate(seeds), orders[0].ladder
+        fa = f(m, a)[0]
+        together = _newton(f, m, a.copy(), b.copy(), fa, x)
+        assert together.size == 20
         for j in range(m.size):
-            alone = _newton(f, m[j:j + 1], *(end[j:j + 1].copy() for end in ends))
+            alone = _newton(f, m[j:j + 1], a[j:j + 1].copy(), b[j:j + 1].copy(), fa[j:j + 1],
+                            x[j:j + 1])
             assert together[j] == alone[0]
 
     def test_unresolvable_lambda_min_reported(self):
@@ -709,6 +718,26 @@ class TestExplicitAndFiles:
             explicit_spectrum([-1.0, 0.5])
         with pytest.raises(ValueError):
             explicit_spectrum([])
+
+    @pytest.mark.parametrize("values", [
+        [float("nan")], [0.5, float("nan"), 2.0], [0.5, float("inf")], [float("-inf"), 1.0]])
+    def test_explicit_rejects_non_finite(self, values):
+        # a NaN inside the list would defeat the ascending check
+        with pytest.raises(ValueError, match="finite"):
+            explicit_spectrum(values)
+
+    @pytest.mark.parametrize("text,line", [
+        ("nan\n", 1), ("0.5\nnan\n2.0\n", 2), ("0.5\ninf\n", 2), ("# c\n0.5\n-inf\n", 3)])
+    def test_non_finite_file_exit_2(self, capsys, tmp_path, text, line):
+        from rellich_cone.cli import main
+
+        path = tmp_path / "spec.txt"
+        path.write_text(text)
+        with pytest.raises(SpectrumError, match=f"spec.txt:{line}: not a finite number"):
+            load_spectrum_file(path)
+        assert main(["constant", "--n", "3", "--alpha=0.5", "--domain", f"file:{path}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"{path}:{line}: not a finite number" in captured.err
 
     def test_exhaustion(self):
         spec = explicit_spectrum([0.5, 1.5])

@@ -394,6 +394,20 @@ class TestCap:
         with pytest.raises(ConvergenceError, match="brackets of order 0 do not alternate"):
             _CapOrder(4, 1.0, 0).split(60.0)
 
+    @pytest.mark.parametrize("bound,count", [
+        (64**2, 61), (70**2, 66), (75**2, 71), (79**2 - 1, 75), (80**2, None)])
+    def test_ceiling_at_block_ends(self, bound, count):
+        # the bounds where a scan in 16-wide blocks of K, stopping at the
+        # first block end past 64 brackets, used to end: roots lie pi / theta0
+        # apart in K, so at theta0 = 3 each block added about 15.  The counts
+        # that answered there answer unchanged; 80^2 (count None), which that
+        # ceiling refused, now answers with its closed-form count of 76
+        below = _CapOrder(4, 3.0, 0).split(bound)[0]
+        if count is None:
+            count = sum((math.pi * j / 3.0) ** 2 - 1 < bound for j in range(1, CEILING + 2))
+            assert count == 76 < CEILING
+        assert len(below) == count
+
     def test_ceiling_is_an_exact_count(self, monkeypatch):
         # n = 4, m = 0 has lambda_j = (pi j / theta0)^2 - 1: with CEILING of
         # them below the bound the order answers, wherever the bound lies

@@ -55,6 +55,9 @@ EXIT_USAGE = 2
 EXIT_DEGENERATE = 3
 EXIT_RESOLUTION = 4
 
+#: the most eigenvalues ``spectrum --count`` lists (about 200 MB resident as JSON)
+MAX_COUNT = 10**6
+
 
 def _parse_domain(text: str):
     """Parse sphere | cap:THETA | arc:LEN | file:PATH.
@@ -124,6 +127,8 @@ def cmd_scan(args) -> int:
 def cmd_spectrum(args) -> int:
     if args.count < 1:
         raise ValueError("count must be >= 1")
+    if args.count > MAX_COUNT:
+        raise ValueError(f"count {args.count} is above the budget of {MAX_COUNT} eigenvalues")
     resolve_config(args.config)  # a bad config file still exits 2
     spectrum = _spectrum_from_args(args)
     values = spectrum.lowest(args.count)
@@ -189,7 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_spec = sub.add_parser("spectrum", help="lowest eigenvalues of a domain")
     add_common(p_spec)
-    p_spec.add_argument("--count", type=int, default=8)
+    p_spec.add_argument("--count", type=int, default=8,
+                        help=f"how many of the lowest eigenvalues to list (1 to {MAX_COUNT})")
     p_spec.set_defaults(fn=cmd_spectrum)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")

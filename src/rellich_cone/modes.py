@@ -23,28 +23,29 @@ T = D2 + A D1 - Bl on a uniform grid over [-L, L] and evaluates it on the
 two-cell zero extension of the unknown vector, so the discrete function
 class mimics compactly supported C^2 functions (plain Dirichlet endpoints
 would let one-sided exponentials leak energy through the boundary and
-produce spurious zero modes when Bl < 0).  The numerator matrix T^t T is
+produce spurious zero modes when Bl < 0).  The numerator T^t T is
 pentadiagonal and positive semidefinite by construction, the denominator
-D tridiagonal and positive definite.
+D tridiagonal and positive definite, and both are exactly Toeplitz: the
+solver holds their five Toeplitz coefficients and no band array.
 
-T^t T is exactly Toeplitz: it equals C + P2 (e_1 e_1^t + e_N e_N^t) with
-P2 = c_plus c_minus, and the DST-I basis diagonalizes C, by the symbol
-|sigma(theta_j)|^2 (free of the 16/dx^4 cancellation of the assembled
-entries), and D.  Centrosymmetry leaves one rank-one term per parity of j,
-so each parity's eigenvalues are the roots of a secular equation (Golub,
-SIAM Rev. 15, 1973); by interlacing the bottom one lies between the parity's
-two lowest poles when P2 > 0 and below the lowest when P2 < 0.  The
-inertia of T^t T - lo D, read off the same poles by the determinant lemma,
-certifies the smaller root: it is definite iff lo < mu_min.  The secular
-formula (Bunch, Nielsen & Sorensen, Numer. Math. 31, 1978) gives the
-eigenvector's DST-I coefficients, a half-length chirp-z transform maps them
-back, and the backward error against the assembled bands is the gate.
+T^t T equals C + P2 (e_1 e_1^t + e_N e_N^t) with P2 = c_plus c_minus, and the
+DST-I basis diagonalizes C, by the symbol |sigma(theta_j)|^2 (free of the
+16/dx^4 cancellation of the coefficients), and D.  Centrosymmetry leaves one
+rank-one term per parity of j, so each parity's eigenvalues are the roots of
+a secular equation (Golub, SIAM Rev. 15, 1973); by interlacing the bottom one
+lies between the parity's two lowest poles when P2 > 0 and below the lowest
+when P2 < 0.  The inertia of T^t T - lo D, read off the same poles by the
+determinant lemma, certifies the smaller root: it is definite iff lo < mu_min.
+The secular formula (Bunch, Nielsen & Sorensen, Numer. Math. 31, 1978) gives
+the eigenvector's DST-I coefficients, a half-length chirp-z transform maps
+them back, and the backward error against the Toeplitz coefficients is the
+gate.
 
 The same interlacing gives every solve a floor at the cost of its poles:
-when P2 >= 0 no root lies below the lowest pole, so ``_pole_floor`` (about a
-tenth of a solve at N = 4000) bounds mu_min from below, exactly in floats.
-The scan's numeric probe keeps only the smallest mu_min over several modes
-and skips the solve of a mode whose floor is not below the best value so far.
+when P2 >= 0 no root lies below the lowest pole, so ``_pole_floor`` bounds
+mu_min from below, exactly in floats, for all of a scan row's modes in one
+call.  The scan's numeric probe keeps the smallest mu_min over several modes
+and skips each solve whose floor is not below the best.
 """
 
 from __future__ import annotations
@@ -133,42 +134,44 @@ class ModeMinimum:
 
 
 def _assemble(A, Bl, Cl, L, N):
-    """Numerator T^t T and denominator (stiffness + Cl) as lower bands.
+    """Numerator T^t T and denominator (stiffness + Cl) as their Toeplitz
+    coefficients P = (p0, p1, p2) and D = (d0, d1), entry k on the k-th
+    off-diagonals, and the spacing dx; SolverError outside the double range.
 
     Unknowns are the N interior values on (-L, L); T maps them to the N + 2
     stencil rows touching a nonzero value of the zero-extended vector, so
-    T^t T is Toeplitz.  Row k of a band is the k-th subdiagonal, zero-padded.
+    T^t T is exactly Toeplitz and each band is one number.
     """
     dx = 2.0 * L / (N + 1)
     c_plus = 1.0 / dx**2 + A / (2 * dx)
     c_mid = -2.0 / dx**2 - Bl
     c_minus = 1.0 / dx**2 - A / (2 * dx)
-    P, D = np.zeros((3, N)), np.zeros((3, N))
-    P[0] = c_plus * c_plus + c_mid * c_mid + c_minus * c_minus
-    P[1, :-1] = c_plus * c_mid + c_mid * c_minus
-    P[2, :-2] = c_plus * c_minus
-    D[0] = 2.0 / dx**2 + Cl
-    D[1, :-1] = -1.0 / dx**2
+    P = (c_plus * c_plus + c_mid * c_mid + c_minus * c_minus,
+         c_plus * c_mid + c_mid * c_minus, c_plus * c_minus)
+    D = (2.0 / dx**2 + Cl, -1.0 / dx**2)
+    if not _in_double_range(A, Bl, Cl, N, dx, P, D):
+        raise SolverError(f"mode problem leaves the double range (about 1.8e308) "
+                          f"{_where(A, Bl, Cl, L, N)}")
     return P, D, dx
 
 
 def _matvec(band, x):
-    """Symmetric matrix in lower band storage times x."""
+    """Symmetric Toeplitz matrix of coefficients ``band`` times x."""
     y = band[0] * x
-    for k in range(1, band.shape[0]):
-        y[k:] += band[k, :-k] * x[:-k]
-        y[:-k] += band[k, :-k] * x[k:]
+    for k in range(1, len(band)):
+        y[k:] += band[k] * x[:-k]
+        y[:-k] += band[k] * x[k:]
     return y
 
 
-def _norm(band):
-    """Largest absolute row sum of a Toeplitz band from :func:`_assemble`, that of
-    its leading 5 x 5 block; from N = 5 on, the middle row's, read off the first
-    column and summed in :func:`_matvec`'s order, so that it is the same float."""
-    if band.shape[1] < 5:
-        return float(_matvec(abs(band), np.ones(band.shape[1])).max())
-    d, e1, e2 = map(abs, band[:, 0].tolist())
-    return d + e1 + e1 + e2 + e2
+def _norm(band, N):
+    """Largest absolute row sum of an N x N Toeplitz band from :func:`_assemble`,
+    that of its leading 5 x 5 block; from N = 5 on, the middle row's, summed in
+    :func:`_matvec`'s order, so that it is the same float."""
+    band = [abs(e) for e in band]
+    if N < 5:
+        return float(_matvec(band, np.ones(N)).max())
+    return functools.reduce(lambda total, e: total + e + e, band[1:], band[0])
 
 
 @functools.lru_cache(maxsize=2)
@@ -185,14 +188,20 @@ def _grid(L, N):
 
 
 def _poles(A, Bl, Cl, L, N, dx):
-    """Poles p_j / d_j and weights z_j^2 / d_j of the secular equations, j = 1..N."""
-    u, sin2, weight = _grid(L, N)[:3]
-    d = u + Cl
-    return ((u + Bl) ** 2 + sin2 * (A / dx) ** 2) / d, weight / d
+    """Poles p_j / d_j of the secular equations, j = 1..N, and the d_j."""
+    u, sin2 = _grid(L, N)[:2]
+    lam, d = (u + Bl) ** 2, u + Cl
+    lam += sin2 * (A / dx) ** 2
+    lam /= d
+    return lam, d
+
+
+def _where(A, Bl, Cl, L, N):
+    return f"(A={A}, Bl={Bl}, Cl={Cl}, L={L}, N={N})"
 
 
 def _in_double_range(A, Bl, Cl, N, dx, P, D):
-    """Whether the band entries, a bound on every pole p_j / d_j and a bound on
+    """Whether the coefficients, a bound on every pole p_j / d_j and a bound on
     the residual's scale ||P|| + |mu| ||D|| are finite, from scalars only:
     gamma ~ -alpha^2/4 overflows the scale, which grows like the squared
     pole, from |alpha| ~ 2e77."""
@@ -200,7 +209,7 @@ def _in_double_range(A, Bl, Cl, N, dx, P, D):
     lowest = Cl + math.sin(0.5 * math.pi / (N + 1)) ** 2 * (4.0 / (dx * dx))  # d_1
     pole = (top * top + (A / dx) * (A / dx)) / lowest
     scale = top * top + pole * (4.0 / (dx * dx) + abs(Cl))
-    return all(map(math.isfinite, (P[0, 0], P[1, 0], P[2, 0], D[0, 0], pole, scale)))
+    return all(map(math.isfinite, (*P, D[0], pole, scale)))
 
 
 def _secular_root(lam, w, P2):
@@ -214,7 +223,8 @@ def _secular_root(lam, w, P2):
     """
     k = int(np.argmin(lam))
     lam1, w1 = float(lam[k]), float(w[k])
-    delta, rest = np.delete(lam, k) - lam1, np.delete(w, k)
+    delta = np.concatenate((lam[:k], lam[k + 1:])) - lam1
+    rest = np.concatenate((w[:k], w[k + 1:]))
     lam2 = lam1 + float(delta.min()) if delta.size else math.inf
     if P2 == 0 or P2 > 0 and lam2 == lam1:  # the bottom root is the lowest pole
         return lam1, lam2, k, 0.0
@@ -278,45 +288,39 @@ def _dst1(y, N, parity):
     return np.concatenate((half, (-1) ** parity * half[N - K - 1:: -1]))
 
 
-def _secular_problem(A, Bl, Cl, L, N):
-    """Bands, spacing, the secular poles and weights, and the coefficients as
-    text for messages; a problem outside the double range raises."""
-    P, D, dx = _assemble(A, Bl, Cl, L, N)
-    where = f"(A={A}, Bl={Bl}, Cl={Cl}, L={L}, N={N})"
-    if not _in_double_range(A, Bl, Cl, N, dx, P, D):
-        raise SolverError(f"mode problem leaves the double range (about 1.8e308) {where}")
-    return P, D, dx, *_poles(A, Bl, Cl, L, N, dx), where
-
-
-def _pole_floor(A, Bl, Cl, L, N):
-    """A floor of ``_solve_smallest(A, Bl, Cl, L, N)[0]`` at the cost of the
-    poles: the lowest secular pole when P2 = c_plus c_minus >= 0, else -inf.
-
-    Exact in floats, not only in exact arithmetic: both take the poles from
-    ``_secular_problem``, and a positive rank-one term lifts each parity's
-    bottom root above its lowest pole, so ``_secular_root`` returns that pole
-    plus an offset x >= 0 (or the pole itself when P2 = 0), never below it.
-    Raises the same double-range ``SolverError`` as the solve.
+def _pole_floor(A, shifts, L, N):
+    """Floors of ``_solve_smallest(A, Bl, Cl, L, N)[0]`` for each (Bl, Cl) in
+    ``shifts``: the lowest secular pole when P2 = c_plus c_minus (free of the
+    shift) is >= 0, else -inf; the first shift in list order outside the
+    double range raises the solve's ``SolverError``.  Exact in floats: the
+    poles are the solve's, element for element, and a positive rank-one term
+    lifts each parity's bottom root above its lowest pole, so ``_secular_root``
+    returns that pole plus an offset x >= 0 (or the pole when P2 = 0).
     """
-    P, _, _, lam, _, _ = _secular_problem(A, Bl, Cl, L, N)
-    return float(lam.min()) if P[2, 0] >= 0 else -math.inf
+    for Bl, Cl in shifts:
+        P, _, dx = _assemble(A, Bl, Cl, L, N)
+    if not shifts or P[2] < 0:
+        return [-math.inf] * len(shifts)
+    return [float(_poles(A, Bl, Cl, L, N, dx)[0].min()) for Bl, Cl in shifts]
 
 
 def _solve_smallest(A, Bl, Cl, L, N):
     """Smallest generalized eigenpair of (T^t T) v = mu D v, its residual."""
-    P, D, dx, lam, w, where = _secular_problem(A, Bl, Cl, L, N)
-    norm_P, norm_D = _norm(P), _norm(D)
-    P2 = float(P[2, 0])
+    P, D, dx = _assemble(A, Bl, Cl, L, N)
+    lam, d = _poles(A, Bl, Cl, L, N, dx)
+    w = _grid(L, N)[2] / d  # the secular weights z_j^2 / d_j
+    norm_P, norm_D, P2 = _norm(P, N), _norm(D, N), float(P[2])
     try:
         (mu, above, k, offset, parity), (other, *_) = sorted(
             (*_secular_root(lam[j::2], w[j::2], P2), j) for j in (0, 1))
     except SolverError as exc:
-        raise SolverError(f"{exc} {where}") from None
+        raise SolverError(f"{exc} {_where(A, Bl, Cl, L, N)}") from None
     gap = min(other, above) - mu
     # rounding the assembled P moves mu_min by up to about eps ||P|| / lambda_min(D)
     rounding = 8 * EPS * norm_P / (Cl + (2 * math.sin(0.5 * math.pi / (N + 1)) / dx) ** 2)
     if not _below_spectrum(lam, w, P2, mu - max(SHIFT_FRACTION * min(gap, mu), rounding)):
-        raise SolverError(f"secular root {mu:.6e} is not the smallest eigenvalue {where}")
+        raise SolverError(f"secular root {mu:.6e} is not the smallest eigenvalue "
+                          f"{_where(A, Bl, Cl, L, N)}")
     s, sin_theta = _grid(L, N)[3:]
     lam, w, z = lam[parity::2], w[parity::2], sin_theta[parity::2]
     if offset:  # DST-I coefficients z_i / (d_i (lam_i - mu)), lam_i - mu from the offset
@@ -335,10 +339,10 @@ def _solve_smallest(A, Bl, Cl, L, N):
         residual = float(np.linalg.norm(_matvec(P, x) - mu * Dx)) / (norm_P + abs(mu) * norm_D)
     if residual == math.inf:
         raise SolverError(f"eigensolver residual overflows: its squared norm leaves the double "
-                          f"range (about 1.8e308) {where}")
+                          f"range (about 1.8e308) {_where(A, Bl, Cl, L, N)}")
     if not residual <= RESIDUAL_TOL:  # NaN fails too
         raise SolverError(f"eigensolver residual {residual:.3e} above tolerance "
-                          f"{RESIDUAL_TOL:.1e} {where}")
+                          f"{RESIDUAL_TOL:.1e} {_where(A, Bl, Cl, L, N)}")
     if mu < -1e-10:
         raise SolverError(f"negative minimum {mu:.3e} from a PSD numerator; solver breakdown")
     return max(mu, 0.0), x / math.sqrt(x @ Dx), s, residual

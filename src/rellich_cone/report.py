@@ -86,13 +86,13 @@ def _numeric_probe(p, spectrum: Spectrum, report: ConstantReport, cfg: Config) -
     weight vanishes there) and all k_max + 1 are probed.
 
     Branch and bound: every probed mode first gets its ``modes._pole_floor``,
-    in ascending order, which also runs the solver's double-range check.  The
-    argmin is then solved (it attains the minimum on most rows), and the
-    others in ascending order, each only when its floor lies below the best
-    value so far.  The floor bounds the mode's solve from below exactly in
-    floats, so a skipped mode could not have lowered the minimum, and the
-    value returned is bit for bit the minimum over every probed mode.  A
-    skipped mode's other solver gates do not run.
+    all in one call that also runs the solver's double-range check on each,
+    in ascending order.  The argmin is then solved (it attains the minimum on
+    most rows), and the others in ascending order, each only when its floor
+    lies below the best value so far.  The floor bounds the mode's solve
+    from below exactly in floats, so a skipped mode could not have lowered
+    the minimum, and the value returned is bit for bit the minimum over every
+    probed mode.  A skipped mode's other solver gates do not run.
     """
     from .modes import _pole_floor
 
@@ -105,13 +105,12 @@ def _numeric_probe(p, spectrum: Spectrum, report: ConstantReport, cfg: Config) -
     lams = [float(lam) for lam in lams]
     if attained is not None and attained not in lams:
         lams.append(attained)
-    problems = [(float(p.A), float(p.B) + lam, float(p.C) + lam, cfg.scan_L, cfg.scan_N)
-                for lam in lams]
-    floors = [_pole_floor(*args) for args in problems]
+    A, shifts = float(p.A), [(float(p.B) + lam, float(p.C) + lam) for lam in lams]
+    floors = _pole_floor(A, shifts, cfg.scan_L, cfg.scan_N)
     best = math.inf
     for i in sorted(range(len(lams)), key=lambda i: (lams[i] != attained, lams[i])):
         if not floors[i] >= best:
-            best = min(best, _solve_smallest(*problems[i])[0])
+            best = min(best, _solve_smallest(A, *shifts[i], cfg.scan_L, cfg.scan_N)[0])
     return best
 
 
@@ -158,53 +157,42 @@ def _cell(value) -> str:
 
 
 def scan_rows_to_csv(rows) -> str:
-    lines = [",".join(SCAN_FIELDS)]
-    for r in rows:
-        lines.append(",".join(_cell(getattr(r, f)) for f in SCAN_FIELDS))
-    return "\n".join(lines) + "\n"
+    lines = [",".join(_cell(getattr(r, f)) for f in SCAN_FIELDS) for r in rows]
+    return "\n".join([",".join(SCAN_FIELDS), *lines]) + "\n"
 
 
 def scan_rows_to_json(rows) -> str:
-    payload = [
-        {f: getattr(r, f) for f in SCAN_FIELDS}
-        for r in rows
-    ]
-    return json.dumps(payload, indent=2, sort_keys=False) + "\n"
+    return json.dumps([{f: getattr(r, f) for f in SCAN_FIELDS} for r in rows], indent=2) + "\n"
 
 
 def scan_rows_to_table(rows) -> str:
-    rows = list(rows)
-    header = list(SCAN_FIELDS)
     table = [[_cell(getattr(r, f)) or "-" for f in SCAN_FIELDS] for r in rows]
     widths = [max(len(h), *(len(row[i]) for row in table)) if table else len(h)
-              for i, h in enumerate(header)]
-    out = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
-    for row in table:
-        out.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(out) + "\n"
+              for i, h in enumerate(SCAN_FIELDS)]
+    out = [SCAN_FIELDS, *table]
+    return "\n".join("  ".join(c.ljust(w) for c, w in zip(row, widths)) for row in out) + "\n"
 
 
 _REPORT_FIELDS = (
     "n", "alpha", "delta_rad", "M", "critical", "positive",
     "regime", "certified_by", "certified", "attained_lambda",
 )
+#: the report's keys as the table and CSV list them: the domain after alpha
+_REPORT_KEYS = (*_REPORT_FIELDS[:2], "domain", *_REPORT_FIELDS[2:])
 
 
 def report_to_dict(report: ConstantReport, domain: str) -> dict:
     data = {"domain": domain}
     for f in _REPORT_FIELDS:
         value = getattr(report, f)
-        if f in ("regime", "certified_by"):
-            value = str(value)
-        data[f] = value
+        data[f] = str(value) if f in ("regime", "certified_by") else value
     return data
 
 
 def report_to_table(report: ConstantReport, domain: str) -> str:
     data = report_to_dict(report, domain)
     lines = []
-    for key in ("n", "alpha", "domain", "delta_rad", "M", "critical", "positive",
-                "regime", "certified_by", "certified", "attained_lambda"):
+    for key in _REPORT_KEYS:
         value = data[key]
         if isinstance(value, float):
             value = fmt_float(value)
@@ -216,7 +204,4 @@ def report_to_table(report: ConstantReport, domain: str) -> str:
 
 def report_to_csv(report: ConstantReport, domain: str) -> str:
     data = report_to_dict(report, domain)
-    keys = ["n", "alpha", "domain"] + [f for f in _REPORT_FIELDS if f not in ("n", "alpha")]
-    header = ",".join(keys)
-    row = ",".join(_cell(data[k]) for k in keys)
-    return header + "\n" + row + "\n"
+    return ",".join(_REPORT_KEYS) + "\n" + ",".join(_cell(data[k]) for k in _REPORT_KEYS) + "\n"

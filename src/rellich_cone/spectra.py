@@ -389,13 +389,14 @@ def _ladder(n: int, theta0: float, m, K):
     return tuple(out)
 
 
-def _newton(f, m, a, b, fa, x):
+def _newton(f, m, a, b, fa, fb, x):
     """Roots of ``f(m, K)`` in K in the brackets [a, b] (a == b: a root at b),
-    all at once, with ``m`` one entry per bracket, by Newton steps on
-    ``f(m, K)`` = (f, f_K) from the points ``x`` inside them.  A step that
-    leaves the open bracket (kept by the sign of f), or is not finite,
-    bisects it instead; a root is done at f = 0, at a step within 1e-10 of
-    the point (taken), or at a bracket closed to 4 eps.  A NaN f, or a
+    all at once, with ``m`` one entry per bracket and f = ``fa``, ``fb`` at
+    its ends, by Newton steps on ``f(m, K)`` = (f, f_K) from the points ``x``
+    inside them.  A step that leaves the open bracket (kept by the sign of
+    f), or is not finite, bisects it instead; a root is done at f = 0, at a
+    step within 1e-10 of the point (taken), or at a bracket closed to 4 eps
+    (its end with the smaller |f|).  A NaN f, or a
     bracket open after 100 steps, raises ConvergenceError.  Each element
     steps on its own, so its root does not depend on the batch."""
     import numpy as np
@@ -417,13 +418,16 @@ def _newton(f, m, a, b, fa, x):
                 f"bracket {[float(a[i[j]]), float(b[i[j]])]}")
         left = np.sign(fx) == np.sign(fa[i])
         a[i], b[i] = np.where(left, x, a[i]), np.where(left, b[i], x)
+        fa[i], fb[i] = np.where(left, fx, fa[i]), np.where(left, fb[i], fx)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = fx / slope
         after = x - step
         inside = ((a[i] < after) & (after < b[i])) | (after == x)
         small = inside & (np.abs(step) <= 1e-10 * x)
-        root[i] = np.where(small, after, x)
-        live = (fx != 0) & ~small & (b[i] - a[i] > 4 * np.finfo(float).eps * b[i])
+        closed = b[i] - a[i] <= 4 * np.finfo(float).eps * b[i]
+        end = np.where(np.abs(fa[i]) < np.abs(fb[i]), a[i], b[i])
+        root[i] = np.where(small, after, np.where(closed, end, x))
+        live = (fx != 0) & ~small & ~closed
         x = np.where(inside, after, (a[i] + b[i]) / 2)[live]
         i = i[live]
 
@@ -451,10 +455,10 @@ def _polish(batch: list):
         raise ConvergenceError(
             f"cap eigenvalues did not converge: the ladder's signs at the collocation "
             f"brackets of order {m[wrong][0]} do not alternate")
-    a, b, fa = ends[left], ends[left + 1], f_ends[left]
+    a, b, fa, fb = ends[left], ends[left + 1], f_ends[left], f_ends[left + 1]
     b = np.where((j[left] == 0) & (fa <= 0), a, b)
     x = np.where((a < seeds) & (seeds < b), seeds, (a + b) / 2)
-    roots = _newton(todo[0][0].ladder, m[left], a, b, fa, x).tolist()
+    roots = _newton(todo[0][0].ladder, m[left], a, b, fa, fb, x).tolist()
     for order, i in todo:
         order.roots += roots[:len(i)]
         del roots[:len(i)]

@@ -509,6 +509,18 @@ class TestSpectrumCommand:
         assert code == 2
         assert out == "" and "count must be >= 1" in err
 
+    def test_count_past_the_budget_exit_2(self):
+        # refused before any list is built: under 1 GiB of address space a
+        # hundred million sphere eigenvalues ended in a MemoryError traceback
+        # with exit 1, which belongs to a verify FAIL
+        from rellich_cone.cli import MAX_COUNT
+
+        done = run_cli_bounded("spectrum", "--n", "3", "--count", "100000000")
+        assert done.returncode == 2 and done.stdout == "" and "Traceback" not in done.stderr
+        assert done.stderr == (f"error: count 100000000 is above the budget of {MAX_COUNT} "
+                               f"eigenvalues\n")
+        assert str(MAX_COUNT) in run_cli_bounded("spectrum", "--help").stdout
+
     @pytest.mark.parametrize("n, nu, size", [(2600, "1298.5", 1303), (10**6, "499998.5", 500003)])
     def test_order_past_the_largest_collocation_exit_4(self, n, nu, size):
         # floor(nu) alone breaks the trust rule: the message says so, and no

@@ -51,18 +51,24 @@ from rellich_cone import modes
 FAST = dict(L=60.0, N=2400)
 
 
-def _dense(band):
-    """Dense symmetric matrix from its lower band storage."""
-    N = band.shape[1]
-    M = np.diag(band[0])
-    for k in range(1, band.shape[0]):
-        M += np.diag(band[k, : N - k], -k) + np.diag(band[k, : N - k], k)
+def _dense(band, N):
+    """Dense N x N symmetric Toeplitz matrix of the coefficients ``band``."""
+    M = np.diag(np.full(N, band[0]))
+    for k in range(1, len(band)):
+        M += np.diag(np.full(N - k, band[k]), -k) + np.diag(np.full(N - k, band[k]), k)
     return M
 
 
 def _dense_minimum(A, Bl, Cl, L, N):
     P, D, _ = _assemble(A, Bl, Cl, L, N)
-    return eigh(_dense(P), _dense(D), eigvals_only=True, subset_by_index=[0, 0])[0]
+    return eigh(_dense(P, N), _dense(D, N), eigvals_only=True, subset_by_index=[0, 0])[0]
+
+
+def _secular(A, Bl, Cl, L, N):
+    """The solver's secular poles and weights, and its corner term P2."""
+    P, _, dx = _assemble(A, Bl, Cl, L, N)
+    lam, d = _poles(A, Bl, Cl, L, N, dx)
+    return lam, modes._grid(L, N)[2] / d, P[2]
 
 
 def _dense_definite(lam, w, P2, lo):
@@ -254,29 +260,65 @@ def test_vanishing_rank_one_term(A, Bl, Cl):
     # eigenvector is the tied-pole one.  The scan's grid (L = 100, N = 4000)
     # meets this at A = 40.010000000000005
     L, N = 10.0, 200
-    assert _assemble(A, Bl, Cl, L, N)[0][2, 0] == 0.0
+    assert _assemble(A, Bl, Cl, L, N)[0][2] == 0.0
     mu, _, _, residual = _solve_smallest(A, Bl, Cl, L, N)
     assert mu == pytest.approx(_dense_minimum(A, Bl, Cl, L, N), rel=1e-12)
     assert residual <= modes.RESIDUAL_TOL
-    assert _pole_floor(A, Bl, Cl, L, N) == mu
+    assert _pole_floor(A, [(Bl, Cl)], L, N) == [mu]
 
 
 def test_scalar_norm_equals_the_block_row_sums():
-    # _norm reads a Toeplitz band's first column; the leading 5 x 5 block's
+    # _norm sums a Toeplitz band's coefficients; the leading 5 x 5 block's
     # largest absolute row sum is the same float, for signed and for zero
     # off-diagonals and for the bands of the solver itself
     rng = np.random.default_rng(5)
-    bands = [_assemble(*args)[i] for args in ((-2.0, 1.25, 2.25, 40.0, 3200),
-                                              (300.0, -7.5, 0.3, 10.0, 5), (0.0, 0.0, 1.0, 1.0, 6))
-             for i in (0, 1)]
+    bands = [(_assemble(*args)[i], args[-1])
+             for args in ((-2.0, 1.25, 2.25, 40.0, 3200), (300.0, -7.5, 0.3, 10.0, 5),
+                          (0.0, 0.0, 1.0, 1.0, 6)) for i in (0, 1)]
     for _ in range(500):
-        N = int(rng.integers(5, 40))
-        band = np.zeros((3, N))
-        d, e1, e2 = rng.standard_normal(3) * 10.0 ** rng.uniform(-150, 150, 3)
-        band[0], band[1, :-1], band[2, :-2] = d, e1, rng.choice([e2, 0.0])
-        bands.append(band)
-    for band in bands:
-        assert _norm(band) == float(_matvec(abs(band[:, :5]), np.ones(5)).max())
+        d, e1, e2 = (rng.standard_normal(3) * 10.0 ** rng.uniform(-150, 150, 3)).tolist()
+        band = (d, e1, rng.choice([e2, 0.0])) if rng.integers(2) else (d, e1)
+        bands.append((band, int(rng.integers(5, 40))))
+    for band, N in bands:
+        assert _norm(band, N) == float(_matvec([abs(e) for e in band], np.ones(5)).max())
+    # below N = 5 the whole matrix is the block
+    for N in (3, 4):
+        band = _assemble(300.0, -7.5, 0.3, 10.0, N)[0]
+        assert _norm(band, N) == np.abs(_dense(band, N)).sum(axis=1).max()
+
+
+@pytest.mark.parametrize("A,Bl,Cl,L,N", [
+    (-2.0, 1.25, 2.25, 60.0, 3), (0.0, -0.75, 0.25, 10.0, 4), (300.0, -7.5, 0.3, 10.0, 5),
+    (-50.0, -600.0, 1.0, 60.0, 200), (20.1, 1.0, 0.5, 10.0, 200), (1.3, 7.5, 0.0, 40.0, 57),
+])
+def test_matvec_matches_the_dense_stencil_operators(A, Bl, Cl, L, N):
+    # T: the (N + 2) x N stencil on the zero-extended vector, and the stiffness
+    # matrix plus Cl, built here entry by entry; T^t T is Toeplitz, and so is
+    # the denominator
+    dx = 2.0 * L / (N + 1)
+    c_plus, c_mid, c_minus = 1 / dx**2 + A / (2 * dx), -2 / dx**2 - Bl, 1 / dx**2 - A / (2 * dx)
+    T = np.zeros((N + 2, N))
+    for i in range(N):
+        T[i, i], T[i + 1, i], T[i + 2, i] = c_plus, c_mid, c_minus
+    D = (np.diag(np.full(N, 2 / dx**2 + Cl)) - np.diag(np.full(N - 1, 1 / dx**2), 1)
+         - np.diag(np.full(N - 1, 1 / dx**2), -1))
+    P_coeffs, D_coeffs, _ = _assemble(A, Bl, Cl, L, N)
+    x = np.random.default_rng(N).standard_normal(N)
+    for coeffs, dense in ((P_coeffs, T.T @ T), (D_coeffs, D)):
+        np.testing.assert_allclose(_matvec(coeffs, x.copy()), dense @ x, rtol=0,
+                                   atol=1e-13 * np.abs(dense).sum(axis=1).max() * np.abs(x).max())
+        # and column by column, the band applied to e_j is column j
+        np.testing.assert_allclose(np.column_stack([_matvec(coeffs, e) for e in np.eye(N)]),
+                                   dense, rtol=0, atol=1e-13 * np.abs(dense).max())
+    # less the corner term, T^t T is what the orthonormal DST-I S diagonalizes,
+    # by the symbol |sigma(theta_j)|^2
+    C, theta = T.T @ T, np.arange(1, N + 1) * (np.pi / (N + 1))
+    C[0, 0] -= c_plus * c_minus
+    C[-1, -1] -= c_plus * c_minus
+    S = np.sqrt(2 / (N + 1)) * np.sin(np.outer(np.arange(1, N + 1), theta))
+    symbol = np.abs(c_minus * np.exp(-1j * theta) + c_mid + c_plus * np.exp(1j * theta)) ** 2
+    np.testing.assert_allclose(S @ C @ S, np.diag(symbol), rtol=0,
+                               atol=1e-12 * np.abs(T.T @ T).max())
 
 
 def test_nan_residual_raises(monkeypatch):
@@ -424,18 +466,47 @@ class TestPoleFloor:
             mu = _solve_smallest(A, Bl, Cl, L, N)[0]
         except SolverError:
             assume(False)
-        floor = _pole_floor(A, Bl, Cl, L, N)
+        (floor,) = _pole_floor(A, [(Bl, Cl)], L, N)
         P, _, dx = _assemble(A, Bl, Cl, L, N)
-        if P[2, 0] < 0:
+        if P[2] < 0:
             assert floor == -math.inf
         else:
             assert floor == float(_poles(A, Bl, Cl, L, N, dx)[0].min())
         assert floor <= mu
 
+    @settings(max_examples=80, deadline=None)
+    @given(A=st.floats(-60, 60), L=st.floats(5, 100),
+           N=st.one_of(st.sampled_from([3, 4, 5]), st.integers(3, 3000)),
+           shifts=st.lists(st.tuples(st.floats(-50, 50), st.floats(0, 50)), max_size=8))
+    @example(A=-50.0, L=60.0, N=200, shifts=[(-600.0, 1.0), (2.0, 3.0)])  # P2 < 0
+    @example(A=0.0, L=10.0, N=3, shifts=[(0.0, 0.0), (1.0, 0.0)])
+    def test_batched_floors_equal_the_per_mode_floors(self, A, L, N, shifts):
+        # one call floors a row's modes, each with the bits of the poles
+        # p_j / d_j formed here in the solver's order of operations: the
+        # lowest when P2 = c_plus c_minus >= 0, else -inf
+        dx, theta = 2.0 * L / (N + 1), np.arange(1, N + 1) * (math.pi / (N + 1))
+        u, sin2 = np.sin(0.5 * theta) ** 2 * (4.0 / dx**2), np.sin(theta) ** 2
+        P2 = (1.0 / dx**2 + A / (2 * dx)) * (1.0 / dx**2 - A / (2 * dx))
+        reference = [float((((u + Bl) ** 2 + sin2 * (A / dx) ** 2) / (u + Cl)).min())
+                     if P2 >= 0 else -math.inf for Bl, Cl in shifts]
+        assert _pole_floor(A, shifts, L, N) == reference
+
+    def test_first_mode_out_of_range_raises_its_own_message(self):
+        # the range check runs in list order, and the first failure raises the
+        # message its solve raises; the later one is not reached
+        A, L, N = -2.0, 100.0, 4000
+        shifts = [(1.25, 2.25), (1e160, 1.0), (1e170, 1.0), (3.25, 4.25)]
+        with pytest.raises(SolverError) as floor:
+            _pole_floor(A, shifts, L, N)
+        with pytest.raises(SolverError) as solve:
+            _solve_smallest(A, 1e160, 1.0, L, N)
+        assert str(floor.value) == str(solve.value)
+        assert "Bl=1e+160" in str(floor.value) and "double range" in str(floor.value)
+
     def test_floor_raises_the_double_range_error(self):
         p = derive(3, 1e100)
         with pytest.raises(SolverError, match="double range"):
-            _pole_floor(float(p.A), float(p.B), float(p.C), 100.0, 4000)
+            _pole_floor(float(p.A), [(float(p.B), float(p.C))], 100.0, 4000)
 
     @staticmethod
     def _probe_and_full_minimum(n, alpha, cfg):
@@ -445,9 +516,9 @@ class TestPoleFloor:
         report = classify(p, spectrum)
         probed = []
 
-        def recording(*args):
-            probed.append(args)
-            return floor(*args)
+        def recording(A, shifts, L, N):
+            probed.extend((A, Bl, Cl, L, N) for Bl, Cl in shifts)
+            return floor(A, shifts, L, N)
 
         floor = modes._pole_floor
         with mock.patch.object(modes, "_pole_floor", recording):
@@ -471,7 +542,7 @@ class TestPoleFloor:
         # a coarse grid, |A| dx > 2 on every probed mode
         value, full, probed = self._probe_and_full_minimum(5, -6.0, Config(scan_N=60))
         assert value == full
-        assert all(_assemble(*args)[0][2, 0] < 0 for args in probed)
+        assert all(_assemble(*args)[0][2] < 0 for args in probed)
 
     @pytest.mark.parametrize("argv, solves, probed", [
         (("--n", "3", "--alpha-from=-2", "--alpha-to=2", "--step=0.5", "--mode-n", "400"), 9, 32),
@@ -487,15 +558,17 @@ class TestPoleFloor:
 
         counts = {"solve": 0, "floor": 0}
 
-        def counting(key, fn):
+        def counting(key, fn, size=lambda args: 1):
             def wrapper(*args):
-                counts[key] += 1
+                counts[key] += size(args)
                 return fn(*args)
             return wrapper
 
+        # one floor call per row: count the modes it floors
+        floors = counting("floor", modes._pole_floor, lambda args: len(args[1]))
         with mock.patch.object(report_mod, "_solve_smallest",
                                counting("solve", report_mod._solve_smallest)), \
-                mock.patch.object(modes, "_pole_floor", counting("floor", modes._pole_floor)), \
+                mock.patch.object(modes, "_pole_floor", floors), \
                 redirect_stdout(io.StringIO()):
             assert main(["scan", *argv, "--with-numeric", "--format", "csv"]) == 0
         assert counts == {"solve": solves, "floor": probed}
@@ -510,15 +583,14 @@ class TestCertifiedShift:
     ])
     def test_strictly_below_and_tight(self, A, Bl, Cl, N):
         L = 60.0
-        P, _, dx = _assemble(A, Bl, Cl, L, N)
         reference = _dense_minimum(A, Bl, Cl, L, N)
         mu = _solve_smallest(A, Bl, Cl, L, N)[0]
         assert mu == pytest.approx(reference, rel=1e-10)
-        lam, w = _poles(A, Bl, Cl, L, N, dx)
+        lam, w, P2 = _secular(A, Bl, Cl, L, N)
         # a shift just below the secular root is certified, one just above is not
         below, above = mu * (1 - 1e-6), mu * (1 + 1e-6)
-        assert below < reference and _below_spectrum(lam, w, P[2, 0], below)
-        assert not _below_spectrum(lam, w, P[2, 0], above)
+        assert below < reference and _below_spectrum(lam, w, P2, below)
+        assert not _below_spectrum(lam, w, P2, above)
         # and the exact pencil's inertia agrees at both shifts
         assert _negative_count(A, Bl, Cl, L, N, below) == 0
         assert _negative_count(A, Bl, Cl, L, N, above) >= 1
@@ -561,11 +633,10 @@ class TestCertifiedShift:
     def test_floor_above_minimum_is_not_used(self):
         # a shift counts only where P - shift D is definite
         A, Bl, Cl, L, N = -2.0, 1.25, 2.25, 60.0, 200
-        P, _, dx = _assemble(A, Bl, Cl, L, N)
-        lam, w = _poles(A, Bl, Cl, L, N, dx)
+        lam, w, P2 = _secular(A, Bl, Cl, L, N)
         reference = _dense_minimum(A, Bl, Cl, L, N)
-        assert not _below_spectrum(lam, w, P[2, 0], 2.0 * reference)
-        assert _below_spectrum(lam, w, P[2, 0], 0.5 * reference)
+        assert not _below_spectrum(lam, w, P2, 2.0 * reference)
+        assert _below_spectrum(lam, w, P2, 0.5 * reference)
 
     def test_exhausted_step_budget_raises(self, monkeypatch):
         # one Newton step cannot reach the secular root

@@ -597,7 +597,7 @@ class TestCap:
         # from the secant point of f = -0.3 at 1.5 and 1.0 at 2.0
         with pytest.raises(ConvergenceError, match=message):
             _newton(f, np.zeros(1), np.array([1.5]), np.array([2.0]),
-                    np.array([-0.3]), np.array([2.0 - 0.5 / 1.3]))
+                    np.array([-0.3]), np.array([1.0]), np.array([2.0 - 0.5 / 1.3]))
 
     def test_newton_bisects_steps_that_leave_the_bracket(self):
         # a slope of the wrong sign sends every step out of the bracket, and
@@ -607,7 +607,7 @@ class TestCap:
             f = lambda m, K, s=slope: (K - 1.8, np.full_like(K, s))
             with np.errstate(all="raise"):
                 root = _newton(f, np.zeros(1), np.array([1.5]), np.array([2.0]),
-                               np.array([-0.3]), np.array([1.6]))
+                               np.array([-0.3]), np.array([0.2]), np.array([1.6]))
             assert abs(root[0] - 1.8) <= 8 * np.finfo(float).eps
 
     def test_newton_keeps_a_small_step_inside_the_bracket(self):
@@ -618,8 +618,23 @@ class TestCap:
         f = lambda m, K: (np.where(K < above, 1.0, -1.0),
                                        np.full_like(K, -1 / (above - 49.0)))
         root = _newton(f, np.zeros(1), np.array([49.0]), np.array([49.5]),
-                       np.array([1.0]), np.array([above]))
+                       np.array([1.0]), np.array([-1.0]), np.array([above]))
         assert root[0] == above
+
+    def test_newton_returns_the_closed_end_nearer_the_root(self):
+        # near theta0 = pi order 3's bottom root at n = 9 lies 1.9e-16 above
+        # K = 6.5 = m + (n-2)/2, where the bracket closes to 4 eps: the end
+        # with the smaller |f| is within 2 ulps of mpmath's Ferrers root, where
+        # the last point evaluated was 6 ulps off (lambda 30.00000000000007)
+        import mpmath as mp
+
+        order = _CapOrder(9, 3.0938, 3)
+        assert order.split(30.5)[0] == [30.0]
+        with mp.workdps(40):
+            x = mp.cos(mp.mpf(3.0938))
+            exact = mp.findroot(lambda K: mp.legenp(K - 0.5, -6, x, type=2),
+                                (mp.mpf(6.5), mp.mpf(6.9)), solver="anderson")
+            assert abs(order.roots[0] - exact) <= 2 * math.ulp(6.5)
 
     @pytest.mark.parametrize("n,theta0", [(4, 1.0), (5, 2.2), (7, 0.6)])
     def test_newton_roots_independent_of_the_batch(self, n, theta0):
@@ -629,11 +644,11 @@ class TestCap:
         ends, seeds = zip(*(order.brackets(range(5)) for order in orders))
         a, b = (np.concatenate([e[j] for e in ends]) for j in (slice(None, -1), slice(1, None)))
         m, x, f = np.repeat(np.arange(4), 5), np.concatenate(seeds), orders[0].ladder
-        fa = f(m, a)[0]
-        together = _newton(f, m, a.copy(), b.copy(), fa, x)
+        fa, fb = f(m, a)[0], f(m, b)[0]
+        together = _newton(f, m, a.copy(), b.copy(), fa.copy(), fb.copy(), x)
         assert together.size == 20
         for j in range(m.size):
-            alone = _newton(f, m[j:j + 1], a[j:j + 1].copy(), b[j:j + 1].copy(), fa[j:j + 1],
+            alone = _newton(f, m[j:j + 1], *(v[j:j + 1].copy() for v in (a, b, fa, fb)),
                             x[j:j + 1])
             assert together[j] == alone[0]
 

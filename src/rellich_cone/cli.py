@@ -43,6 +43,7 @@ from .report import (
     report_to_dict,
     report_to_table,
     scan_alphas,
+    scan_length,
     scan_rows_to_csv,
     scan_rows_to_json,
     scan_rows_to_table,
@@ -55,7 +56,7 @@ EXIT_USAGE = 2
 EXIT_DEGENERATE = 3
 EXIT_RESOLUTION = 4
 
-#: the most eigenvalues ``spectrum --count`` lists (about 200 MB resident as JSON)
+#: the most eigenvalues ``spectrum --count`` lists, and rows a table or JSON ``scan`` holds
 MAX_COUNT = 10**6
 
 
@@ -107,6 +108,10 @@ def cmd_scan(args) -> int:
     cfg = resolve_config(args.config, overrides)
     spectrum = _spectrum_from_args(args)
     alphas = scan_alphas(args.alpha_from, args.alpha_to, args.step)
+    rows = scan_length(args.alpha_from, args.alpha_to, args.step)
+    if args.format != "csv" and rows > MAX_COUNT:
+        raise ValueError(f"the scan has {rows} rows, above the budget of {MAX_COUNT} that "
+                         f"--format {args.format} holds in memory; --format csv streams them")
     rows_iter = compute_scan_rows(
         args.n, alphas, spectrum, with_numeric=args.with_numeric, cfg=cfg
     )
@@ -114,9 +119,7 @@ def cmd_scan(args) -> int:
         # stream rows so partial results are flushed before any failure
         print(",".join(SCAN_FIELDS))
         for row in rows_iter:
-            line = scan_rows_to_csv([row]).splitlines()[1]
-            print(line)
-            sys.stdout.flush()
+            print(scan_rows_to_csv([row]).splitlines()[1], flush=True)
     elif args.format == "json":
         sys.stdout.write(scan_rows_to_json(list(rows_iter)))
     else:
@@ -177,7 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_const, need_alpha=True)
     p_const.set_defaults(fn=cmd_constant)
 
-    p_scan = sub.add_parser("scan", help="sweep alpha and classify each point")
+    p_scan = sub.add_parser("scan", help="sweep alpha and classify each point", description=(
+        f"Sweep alpha and classify each point: csv streams, table and json hold {MAX_COUNT} rows"))
     add_common(p_scan)
     p_scan.add_argument("--alpha-from", type=float, required=True)
     p_scan.add_argument("--alpha-to", type=float, required=True)

@@ -9,7 +9,6 @@ emitted in alpha order, and identical inputs produce byte-identical text.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from collections.abc import Iterator
@@ -23,6 +22,7 @@ __all__ = [
     "ScanRow",
     "SCAN_FIELDS",
     "scan_alphas",
+    "scan_length",
     "compute_scan_rows",
     "fmt_float",
     "scan_rows_to_csv",
@@ -64,8 +64,19 @@ def scan_alphas(alpha_from: float, alpha_to: float, step: float) -> Iterator[flo
     if widest + step == widest:
         raise ValueError(f"step {step!r} is below the spacing of doubles at alpha = "
                          f"{widest!r} (alpha + step == alpha)")
-    grid = (alpha_from + k * step for k in itertools.count())
-    return itertools.takewhile(lambda a: a <= alpha_to + 1e-12, grid)
+    return (alpha_from + k * step for k in range(scan_length(alpha_from, alpha_to, step)))
+
+
+def scan_length(alpha_from: float, alpha_to: float, step: float) -> int:
+    """How many alphas ``scan_alphas`` yields, without generating them: one more than
+    the largest k with alpha_from + k * step <= alpha_to + 1e-12, rising in k in floats."""
+    limit = alpha_to + 1e-12
+    k = max(math.floor((limit / 2 - alpha_from / 2) / step * 2), -1)  # halves: no overflow
+    while k >= 0 and alpha_from + k * step > limit:
+        k -= 1
+    while alpha_from + (k + 1) * step <= limit:
+        k += 1
+    return k + 1
 
 
 def _solve_smallest(A, Bl, Cl, L, N):

@@ -19,8 +19,8 @@ eigenvalue lambda_min (0 exactly for the full sphere, strictly positive
 otherwise), its lowest ``count`` entries, and the two entries next to any
 value.  The sphere and the arc invert their closed forms, an explicit list
 bisects, and a cap solves each azimuthal order only up to the value,
-resuming where the last query stopped; one Newton run polishes the roots
-that a query needs from every order it touches.
+resuming where the last query stopped; one Newton run, planned from the
+collocation, polishes the roots a query needs from every order it touches.
 """
 
 from __future__ import annotations
@@ -487,8 +487,10 @@ class _CapOrder:
                          / math.sin(min(theta0, math.pi / 2)))
         self.ladder = functools.partial(_ladder, n, theta0)
         self.floor_nu = math.floor(nu)  # the collocation's order, see _collocation
-        # the most eigenvalues below a bound: CEILING, or what size 1281 confirms
-        self.ceiling = min(CEILING, (COLLOCATION_SIZES[-1] - self.floor_nu) // TRUST - 1)
+        # the highest index each size's trust rule covers, ascending, and the
+        # most eigenvalues below a bound: CEILING, or what size 1281 confirms
+        self.covers = [(N - self.floor_nu) // TRUST - 1 for N in COLLOCATION_SIZES]
+        self.ceiling = min(CEILING, self.covers[-1])
         self.values = functools.cache(  # eigenvalues by index into COLLOCATION_SIZES
             lambda s: _collocation(n, theta0, m, COLLOCATION_SIZES[s])[0])
         # polished roots in K, midpoints whose count agreed, the index check's size
@@ -496,8 +498,7 @@ class _CapOrder:
 
     def _size(self, i: int) -> int:
         """Index of the smallest size whose trust rule covers index ``i``, or of the largest."""
-        return next((s for s, N in enumerate(COLLOCATION_SIZES)
-                     if TRUST * (i + 1) + self.floor_nu <= N), len(COLLOCATION_SIZES) - 1)
+        return min(bisect.bisect_left(self.covers, i), len(COLLOCATION_SIZES) - 1)
 
     def wanted(self, bound: float) -> int:
         """How many roots ``split(bound)`` needs: two more than the
@@ -608,18 +609,40 @@ def _cap_split(orders: list, n: int, theta0: float, bound: float):
             return sorted(below), above, m
 
 
+def _prefetch(orders: list, n: int, theta0: float, above: float, count: int):
+    """Polishes in one Newton run the roots that ``lowest(count)``'s loop past
+    ``above`` needs, replayed on the collocation values.  The loop still sets
+    every value and error; a ConvergenceError here polishes nothing."""
+    total = 0
+    try:
+        while total < count:
+            bound, batch, total, above = 2.0 * above, [], 0, math.inf
+            while not batch or batch[-1][1] > 2:  # until an order has none below bound
+                if len(batch) == len(orders):
+                    orders.append(_CapOrder(n, theta0, len(batch)))
+                order = orders[len(batch)]
+                batch.append((order, order.wanted(bound)))
+                r = batch[-1][1] - 2  # the order's first root at or above bound, by its seed
+                total, above = total + r, min(above, order.values(order._size(r))[r].real)
+        _polish(batch)
+    except ConvergenceError:  # the loop raises it where it meets it
+        pass
+
+
 def cap_spectrum(n: int, theta0: float) -> Spectrum:
     """Dirichlet spectrum of the geodesic cap of radius theta0.
 
     Each azimuthal order's eigenvalues are index-checked roots of a Legendre
     ladder (:class:`_CapOrder`), or :class:`ConvergenceError`.  ``neighbours``
     solves each order up to its first root past the value; ``lowest(count)``
-    takes all orders below a bound that doubles until it holds ``count``
-    entries, and records in ``resolution_meta`` the highest azimuthal order
-    it solved as ``m_max`` (orders are not cut off), after ``method``.  Every
-    query extends the same per-order state, and an eigenvalue has the same
-    bits whatever query found it.  A theta0 at which the largest collocation
-    matrix, of norm about 1281^5 / theta0^2, leaves the double range raises.
+    polishes the roots that the collocation predicts it needs in one Newton
+    run (:func:`_prefetch`), takes all orders below a bound that doubles
+    until it holds ``count`` entries, and records in ``resolution_meta`` the
+    highest azimuthal order it solved as ``m_max`` (orders are not cut off),
+    after ``method``.  Every query extends the same per-order state, and an
+    eigenvalue has the same bits whatever query found it.  A theta0 at which
+    the largest collocation matrix, of norm about 1281^5 / theta0^2, leaves
+    the double range raises.
     """
     if n < 3:
         raise ValueError(f"cap spectra need n >= 3, got {n}")
@@ -628,11 +651,13 @@ def cap_spectrum(n: int, theta0: float) -> Spectrum:
         raise ConvergenceError(
             f"cap eigenvalues did not converge: theta0 = {domain.theta0!r} is so small that "
             f"the collocation matrices leave the double range")
-    split = functools.partial(_cap_split, [], n, domain.theta0)
+    orders = []
+    split = functools.partial(_cap_split, orders, n, domain.theta0)
     meta = {"method": "legendre-ladder"}
 
     def lowest(count):
         below, above, meta["m_max"] = split(0.0)
+        _prefetch(orders, n, domain.theta0, above, count)
         while len(below) < count:
             below, above, meta["m_max"] = split(2.0 * above)
         return below[:count]

@@ -1,6 +1,7 @@
 """CLI: subcommands, output formats, determinism, exit codes, config."""
 
 import io
+import itertools
 import json
 import math
 import os
@@ -11,12 +12,14 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import rellich_cone
-from rellich_cone import DegenerateModeError, SolverError, derive, mode_value
-from rellich_cone.cli import main
+from rellich_cone import DegenerateModeError, SolverError, cli, derive, mode_value
+from rellich_cone.cli import MAX_COUNT, main
 from rellich_cone.config import Config, load_config, resolve_config
-from rellich_cone.report import compute_scan_rows, scan_alphas
+from rellich_cone.report import compute_scan_rows, scan_alphas, scan_length
 
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(rellich_cone.__file__)))
@@ -352,6 +355,64 @@ class TestScan:
         assert time.perf_counter() - start < 0.5
         assert list(scan_alphas(-1.0, 2.0, 0.3)) == [-1.0 + k * 0.3 for k in range(11)]
         assert list(scan_alphas(0.0, 1.0, 0.5)) == [0.0, 0.5, 1.0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.floats(1e-3, 1e6))
+    @example(0.0, 0.3, 0.1)  # 3 * 0.1 lies above 0.3, within the fuzz
+    @example(0.0, 1.0, 0.1)
+    @example(1.0, 0.0, 0.5)  # no rows
+    @example(-0.0, -0.0, 1.0)
+    def test_scan_length_counts_the_grid(self, alpha_from, alpha_to, step):
+        # the count is that of the loop that takes alpha_from + k * step while
+        # it stays within alpha_to + 1e-12
+        assume((alpha_to - alpha_from) / step < 2000)
+        grid = (alpha_from + k * step for k in itertools.count())
+        loop = list(itertools.takewhile(lambda a: a <= alpha_to + 1e-12, grid))
+        assert scan_length(alpha_from, alpha_to, step) == len(loop)
+        assert list(scan_alphas(alpha_from, alpha_to, step)) == loop
+
+    def test_scan_length_at_the_spacing_of_doubles(self):
+        # a step near the spacing of doubles, and a count past 2^53
+        assert scan_length(2.0**53, 2.0**53 + 64, 2.0) == 33
+        assert scan_length(-1e300, 1e300, 1e285) == 2 * 10**15 + 1
+        assert scan_length(0.0, 1e12, 1e-3) == 10**15 + 1
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_oversized_table_or_json_scan_exit_2(self, fmt):
+        # 1e15 + 1 rows would be held in memory before printing: refused at
+        # once, in bounded time and memory
+        done = run_cli_bounded("scan", "--n", "3", "--alpha-from=0", "--alpha-to=1e12",
+                               "--step=1e-3", "--format", fmt)
+        assert done.returncode == 2
+        assert done.stdout == "" and "Traceback" not in done.stderr
+        assert (f"the scan has 1000000000000001 rows, above the budget of {MAX_COUNT} that "
+                f"--format {fmt} holds in memory" in done.stderr)
+
+    def test_scan_budget_is_max_count_rows(self, capsys, monkeypatch):
+        # MAX_COUNT rows render; one more exits 2 unless the rows stream as CSV
+        monkeypatch.setattr(cli, "MAX_COUNT", 3)
+        args = ("scan", "--n", "3", "--alpha-from=0", "--step=1")
+        assert run_cli(capsys, *args, "--alpha-to=2", "--format", "json")[0] == 0
+        code, out, err = run_cli(capsys, *args, "--alpha-to=3", "--format", "json")
+        assert code == 2 and out == "" and "the scan has 4 rows" in err
+        code, out, _ = run_cli(capsys, *args, "--alpha-to=3", "--format", "csv")
+        assert code == 0 and len(out.splitlines()) == 5
+
+    def test_oversized_csv_scan_streams(self):
+        env = dict(os.environ, PYTHONPATH=SRC)
+        env.pop("RELLICH_CONE_CONFIG", None)
+        proc = subprocess.Popen([sys.executable, "-m", "rellich_cone.cli", "scan", "--n", "3",
+                                 "--alpha-from=0", "--alpha-to=1e12", "--step=1e-3",
+                                 "--format", "csv"],
+                                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            assert proc.stdout.readline().startswith(b"alpha,")
+            assert proc.stdout.readline().startswith(b"0,")
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 0
+        finally:
+            proc.kill()
+            proc.stderr.close()
 
     def test_alpha_grid_checks_its_arguments_on_the_call(self):
         with pytest.raises(ValueError, match="step"):

@@ -317,6 +317,18 @@ class TestCap:
             if trusted == len(lam) - 1:
                 break
 
+    def test_size_is_the_first_that_the_trust_rule_lets_cover(self):
+        # the bisection into each size's highest covered index picks the size
+        # that a search for the first N with TRUST (i + 1) + floor(nu) <= N
+        # picks, or the largest
+        last = len(COLLOCATION_SIZES) - 1
+        for floor_nu in range(1301):
+            order = _CapOrder(3, 1.0, floor_nu)  # nu = m at n = 3
+            assert order.floor_nu == floor_nu
+            assert [order._size(i) for i in range(301)] == [
+                next((s for s, N in enumerate(COLLOCATION_SIZES)
+                      if TRUST * (i + 1) + floor_nu <= N), last) for i in range(301)]
+
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_collocation_hemisphere(self, n):
         # order m's eigenvalues on the hemisphere are k(k + n - 2) for k >= m
@@ -533,34 +545,97 @@ class TestCap:
                 sine = abs(p * Q - q * P) / (math.hypot(p, q) * math.hypot(P, Q))
                 assert sine <= 8 * np.finfo(float).eps * (1 + k * theta0 + order), (n, order, k)
 
-    def test_batched_pass_counts(self, monkeypatch):
-        # one Newton run polishes every order a split touches, and only
-        # through each order's second root at or above the bound: 21 ladder
-        # calls (the signs at the bracket ends and the Newton steps) and 20
-        # polished roots, seeded and checked by 8 collocations; a scan
-        # lattice that bracketed them took 30 ladder calls and 7 collocations
+    @staticmethod
+    def _record_work(monkeypatch):
+        # the roots polished by each Newton run, the ladder calls and the
+        # collocation sizes, recorded as they happen
         from rellich_cone import spectra
-        from rellich_cone.cli import main
         ladder, newton, build = spectra._ladder, spectra._newton, spectra._collocation
-        calls, polished, builds = [], [], []
+        work = {"polished": [], "ladder": [], "builds": []}
 
         def recording_ladder(*args, **kwargs):
-            calls.append(1)
+            work["ladder"].append(1)
             return ladder(*args, **kwargs)
 
         def recording_newton(f, m, a, *rest):
-            polished.append(a.size)
+            work["polished"].append(a.size)
             return newton(f, m, a, *rest)
 
         def recording_build(*args):
-            builds.append(args[3])
+            work["builds"].append(args[3])
             return build(*args)
 
         monkeypatch.setattr(spectra, "_ladder", recording_ladder)
         monkeypatch.setattr(spectra, "_newton", recording_newton)
         monkeypatch.setattr(spectra, "_collocation", recording_build)
+        return work
+
+    def test_batched_pass_counts(self, monkeypatch):
+        # lambda_min's run and one run that lowest plans from the collocation
+        # polish every root the query needs, each order's through its second
+        # at or above the bound: 14 ladder calls (the signs at the bracket
+        # ends and the Newton steps) and 20 polished roots, seeded and
+        # checked by 8 collocations.  A Newton run per doubling of the bound
+        # took 21 ladder calls, and a scan lattice that bracketed the roots
+        # 30 ladder calls and 7 collocations
+        from rellich_cone.cli import main
+        work = self._record_work(monkeypatch)
         assert main(["spectrum", "--n", "5", "--domain", "cap:3.0401", "--count", "8"]) == 0
-        assert (sum(polished), len(calls), len(builds)) == (20, 21, 8)
+        assert (sum(work["polished"]), len(work["ladder"]), len(work["builds"])) == (20, 14, 8)
+
+    def test_lowest_polishes_in_one_planned_run(self, monkeypatch):
+        # twelve entries take four doublings of the bound past lambda_min:
+        # one Newton run each took 5 runs and 17 ladder calls in all
+        from rellich_cone.cli import main
+        work = self._record_work(monkeypatch)
+        assert main(["spectrum", "--n", "5", "--domain", "cap:2.3179", "--count", "12"]) == 0
+        assert len(work["polished"]) <= 2 and len(work["ladder"]) <= 7
+
+    @staticmethod
+    def _lowest_outcome(n, theta0, count):
+        try:
+            spec = cap_spectrum(n, theta0)
+            return spec.lowest(count), dict(spec.resolution_meta)
+        except ConvergenceError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("ceiling", [CEILING, 6])
+    def test_prefetch_changes_no_outcome(self, monkeypatch, ceiling):
+        # lowest's values, resolution_meta and errors are those of its
+        # doubling loop alone: with no prefetch, one that stops a doubling
+        # early (leaving the loop Newton runs of its own) or one that reaches
+        # past the loop's last bound (where, at a ceiling of 6 roots per
+        # order, it meets errors the loop never meets), they are the same
+        from rellich_cone import spectra
+        if ceiling == CEILING:
+            rng = np.random.default_rng(41)
+            cases = [(3, math.pi / 2, 40), (4, math.pi / 2, 40), (5, 3.1, 20), (4, 3.13, 20),
+                     (2600, 1.0, 8),  # no order answers: raises before lowest
+                     (2400, 1.0, 40)]  # order 0 answers for 15 roots: raises in lowest
+            cases += [(int(rng.integers(3, 10)), float(rng.uniform(0.05, 3.13)),
+                       int(rng.integers(1, 41))) for _ in range(30)]
+        else:
+            cases = [(n, theta0, count) for n, theta0 in ((3, 1.0), (4, 2.0), (5, 3.0))
+                     for count in (4, 16, 28, 31, 34)]
+        prefetch, outcomes, runs = spectra._prefetch, [], []
+
+        def scaled(factor):
+            return lambda orders, n, theta0, above, count: prefetch(
+                orders, n, theta0, above, int(count * factor))
+
+        for replacement in (prefetch, lambda *args: None, scaled(0.5), scaled(4)):
+            monkeypatch.setattr(spectra, "CEILING", ceiling)
+            monkeypatch.setattr(spectra, "_prefetch", replacement)
+            work = self._record_work(monkeypatch)
+            outcomes.append([self._lowest_outcome(*case) for case in cases])
+            runs.append(len(work["polished"]))
+            monkeypatch.undo()
+        assert outcomes[1:] == [outcomes[0]] * 3
+        errors = sum(isinstance(outcome, str) for outcome in outcomes[0])
+        if ceiling == CEILING:
+            assert runs[0] < min(runs[1:3]) and errors == 2
+        else:
+            assert errors == 7
 
     @pytest.mark.parametrize("n,theta0", [
         (3, 0.4), (3, 2.2), (4, 1.3), (5, 0.7), (5, 2.6), (6, 1.9), (7, 1.0), (8, 2.4),
